@@ -30,10 +30,10 @@ from repro.baselines import (
     WeightlessConfig,
     WeightlessEncoder,
 )
+from repro.core.assess_parallel import AssessmentEngine
 from repro.core.assessment import AssessmentConfig
 from repro.nn import zoo
 from repro.nn.train import SGDConfig, SGDTrainer
-from repro.parallel import AssessmentTask, ParallelAssessment, run_tasks_serial
 
 #: Retraining epochs charged to the baselines.  The paper characterises the
 #: retraining-based methods as costing O(5·M)–O(10·M) (5–10 epochs) for Deep
@@ -219,39 +219,39 @@ def bench_fig7_parallel_assessment_scaling(benchmark, zoo_pruned):
     pruned, _, test = zoo_pruned("lenet-300-100")
     images, labels = test.images[:400], test.labels[:400]
     config = AssessmentConfig(expected_accuracy_loss=0.05)
-    tasks = [
-        AssessmentTask(layer=layer, error_bound=eb)
-        for layer in pruned.sparse_layers
-        for eb in (1e-3, 3e-3, 1e-2, 3e-2)
-    ]
+
+    def assess(workers, n=len(labels)):
+        engine = AssessmentEngine(config, workers=workers)
+        return engine.run(pruned.network, pruned.sparse_layers, images[:n], labels[:n])
 
     start = time.perf_counter()
-    serial = run_tasks_serial(pruned.network, pruned.sparse_layers, images, labels, tasks, config)
+    serial = assess(1)
     serial_seconds = time.perf_counter() - start
 
-    runner = ParallelAssessment(workers=2)
     start = time.perf_counter()
-    parallel = runner.run(pruned.network, pruned.sparse_layers, images, labels, tasks, config)
+    parallel = assess(2)
     parallel_seconds = time.perf_counter() - start
 
     rows = [
         ["serial (1 worker)", f"{serial_seconds:.2f} s", "1.00"],
-        ["process pool (2 workers)", f"{parallel_seconds:.2f} s", f"{serial_seconds / max(parallel_seconds, 1e-9):.2f}"],
+        ["thread pool (2 workers)", f"{parallel_seconds:.2f} s", f"{serial_seconds / max(parallel_seconds, 1e-9):.2f}"],
     ]
     text = render_table(
         ["configuration", "wall-clock", "speedup"],
         rows,
         title="Figure 7a (companion) — parallel error-bound assessment "
-        f"({len(tasks)} candidate tests on LeNet-300-100)",
+        f"({serial.tests_performed} candidate tests on LeNet-300-100)",
     )
     write_result("fig7_parallel_scaling", text)
 
     # Results must be identical regardless of the execution mode.
-    for (l1, e1, a1, s1), (l2, e2, a2, s2) in zip(serial, parallel):
-        assert (l1, e1) == (l2, e2)
-        assert abs(a1 - a2) < 1e-12
-        assert s1 == s2
+    assert serial.tests_performed == parallel.tests_performed
+    for name, layer in serial.layers.items():
+        assert [
+            (p.error_bound, p.accuracy, p.compressed_bytes) for p in layer.points
+        ] == [
+            (p.error_bound, p.accuracy, p.compressed_bytes)
+            for p in parallel.layers[name].points
+        ]
 
-    benchmark(lambda: run_tasks_serial(
-        pruned.network, pruned.sparse_layers, images[:100], labels[:100], tasks[:2], config
-    ))
+    benchmark(lambda: assess(1, n=100))

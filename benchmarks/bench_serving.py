@@ -284,15 +284,18 @@ def bench_gateway_scaling() -> dict:
 
 
 def bench_async_front_door() -> dict:
-    """A/B the asyncio front door against the thread-dispatcher gateway.
+    """A/B the asyncio front door against the blocking sync gateway.
 
     Both arms drive the *same* process-backed replica over the same archive
     with 64 closed-loop clients — coroutines on one event loop versus 64
-    client threads plus per-model dispatcher threads.  Arms are interleaved
-    and best-of-three per arm (this host's run-to-run noise is far larger
-    than the architectural delta).  The asyncio front door must at least
-    match the thread dispatcher: ratio >= ``REPRO_ASYNC_MIN_RATIO``
-    (default 0.9, a noise floor below parity; set it to 0 to report only).
+    client threads on the sync front door.  Arms are interleaved and
+    best-of-three per arm (this host's run-to-run noise is far larger than
+    the architectural delta).  The asyncio front door must at least match
+    the sync one: ratio >= ``REPRO_ASYNC_MIN_RATIO`` (default 0.9, a noise
+    floor below parity; set it to 0 to report only).  The artifact keys
+    ``thread_dispatcher_rps`` / ``async_vs_thread_dispatcher_ratio`` keep
+    their historical names so baselines still compare; they now measure
+    the sync front door, which has no dispatcher thread any more.
     """
     source = {"model": _gateway_archive(seed=4)}
     clients = 64
@@ -328,14 +331,14 @@ def bench_async_front_door() -> dict:
     ratio = best_async / best_sync if best_sync else 0.0
     min_ratio = float(os.environ.get("REPRO_ASYNC_MIN_RATIO", "0.9"))
     print(
-        f"async front door vs thread dispatcher @ {clients} clients: "
+        f"async front door vs sync front door @ {clients} clients: "
         f"{best_async:,.0f} vs {best_sync:,.0f} req/s ({ratio:.2f}x, "
         f"floor {min_ratio:.2f}x)"
     )
     if min_ratio > 0.0:
         assert ratio >= min_ratio, (
-            f"asyncio front door fell to {ratio:.2f}x of the thread "
-            f"dispatcher ({best_async:.0f} vs {best_sync:.0f} req/s at "
+            f"asyncio front door fell to {ratio:.2f}x of the sync front "
+            f"door ({best_async:.0f} vs {best_sync:.0f} req/s at "
             f"{clients} clients; async runs {async_rps}, "
             f"thread runs {sync_rps})"
         )

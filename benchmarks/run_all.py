@@ -92,8 +92,10 @@ def _extract_serving(raw: dict) -> dict:
     ]
     directions = {name: "higher" for name in gate}
     # The asyncio front door A/B (64 closed-loop clients, process backend):
-    # the absolute throughput is gated; the async-vs-thread ratio is info
+    # the absolute throughput is gated; the async-vs-sync ratio is info
     # (its own assert lives in bench_serving.py, env-relaxed by the runner).
+    # The "thread_dispatcher" key name predates the shared admission core:
+    # it now means the sync front door.
     async_fd = raw.get("async_front_door")
     if async_fd:
         metrics["async_gateway_rps"] = async_fd["async_rps"]

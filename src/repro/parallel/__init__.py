@@ -1,51 +1,12 @@
 """Parallel execution substrate (the multi-GPU substitute).
 
-Two layers live here:
-
-* :mod:`repro.parallel.pool` — the reusable :class:`TaskPool` (process or
-  thread) plus worker-count resolution (``REPRO_WORKERS`` env var, else all
-  CPUs).  The SZ chunk engine and the DeepSZ encoder/decoder layer fan-out
-  run on it.
-* :mod:`repro.parallel.executor` — the Algorithm 1 assessment harness: the
-  expensive part of DeepSZ encoding is Step 2's dozens of forward-pass tests,
-  one per (layer, error bound) candidate.  The paper runs them on four V100
-  GPUs; this package runs them on a :class:`TaskPool` (mpi4py is not
-  available offline) and exposes the same scaling behaviour for the Figure 7a
-  experiment.
-
-The executor symbols are loaded lazily: the executor imports
-:mod:`repro.core.assessment`, which itself uses the SZ compressor, so an
-eager import here would create a cycle with :mod:`repro.sz.compressor`'s use
-of the task pool.
+:mod:`repro.parallel.pool` holds the reusable :class:`TaskPool` (process or
+thread) plus worker-count resolution (``REPRO_WORKERS`` env var, else all
+CPUs).  The SZ chunk engine, the DeepSZ encoder/decoder layer fan-out and
+the Algorithm 1 assessment engine
+(:class:`repro.core.assess_parallel.AssessmentEngine`) run on it.
 """
 
 from repro.parallel.pool import TaskPool, in_pool_worker, resolve_workers
 
-__all__ = [
-    "TaskPool",
-    "resolve_workers",
-    "in_pool_worker",
-    "ParallelAssessment",
-    "AssessmentTask",
-    "run_tasks_serial",
-]
-
-_EXECUTOR_EXPORTS = ("ParallelAssessment", "AssessmentTask", "run_tasks_serial")
-
-
-def __getattr__(name: str):
-    # importlib (not `from ... import`) avoids re-entering this __getattr__
-    # through the import system's fromlist handling.
-    if name == "executor":
-        import importlib
-
-        return importlib.import_module("repro.parallel.executor")
-    if name in _EXECUTOR_EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module("repro.parallel.executor"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+__all__ = ["TaskPool", "resolve_workers", "in_pool_worker"]

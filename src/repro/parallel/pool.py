@@ -1,10 +1,10 @@
 """Reusable process/thread task pool for the compression engine.
 
-This module generalises the original assessment-only executor into the
-task-pool substrate every parallel path in the repository shares: chunk
-encode/decode inside :class:`repro.sz.SZCompressor`, layer fan-out inside
-:class:`repro.core.DeepSZEncoder` / :class:`repro.core.DeepSZDecoder`, and
-the Algorithm 1 assessment harness in :mod:`repro.parallel.executor`.
+This module is the task-pool substrate every parallel path in the
+repository shares: chunk encode/decode inside :class:`repro.sz.SZCompressor`,
+layer fan-out inside :class:`repro.core.DeepSZEncoder` /
+:class:`repro.core.DeepSZDecoder`, and the Algorithm 1 candidate fan-out in
+:class:`repro.core.assess_parallel.AssessmentEngine`.
 
 Worker-count resolution
 -----------------------

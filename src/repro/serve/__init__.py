@@ -18,12 +18,14 @@
 * :mod:`repro.serve.gateway` — :class:`Gateway`, the multi-model,
   multi-replica front door: pluggable shard policies (round-robin,
   least-loaded, consistent-hash), thread- or process-backed replica pools
-  (``replica_backend=``), bounded-queue admission control with fast-fail
-  :class:`~repro.utils.errors.GatewayOverloaded` rejection, and fleet-wide
-  stats;
+  (``replica_backend=``), and fleet-wide stats.  Its per-model admission
+  core — inline dispatch into a free concurrency slot, a bounded FIFO
+  queue otherwise, fast-fail
+  :class:`~repro.utils.errors.GatewayOverloaded` rejection — serves both
+  front doors;
 * :mod:`repro.serve.async_gateway` — :class:`AsyncGateway`, the asyncio
-  front door over the same backend: one event loop multiplexes the worker
-  response pipes, with per-request deadlines
+  adapter over the same core and backend: one event loop multiplexes the
+  worker response pipes, with per-request deadlines
   (:class:`~repro.utils.errors.DeadlineExceeded`), real cancellation, and
   graceful drain;
 * :mod:`repro.serve.http` — the minimal stdlib HTTP surface

@@ -1,46 +1,36 @@
 """Asyncio front door over the process-backed serving gateway.
 
-The thread :class:`~repro.serve.gateway.Gateway` runs one blocking
-dispatcher thread per model and hands callers ``concurrent.futures``
-handles — fine for a handful of benchmark clients, wrong for a front door
-multiplexing thousands of connections.  :class:`AsyncGateway` keeps every
-piece of the existing stack — admission control, shard policies, the
-once-per-host :class:`~repro.serve.shm.SharedWeightStore`, and the
-:class:`~repro.serve.worker.ProcessServer` pipe protocol — but replaces
-the per-model dispatcher threads with **one asyncio event loop**:
+:class:`AsyncGateway` hands callers awaitables instead of
+``concurrent.futures`` handles, so one event loop can hold thousands of
+outstanding requests without a thread per client.  Everything else is
+the thread :class:`~repro.serve.gateway.Gateway`'s: admission control
+(the per-model core in :class:`~repro.serve.gateway._Model`), shard
+policies, the once-per-host :class:`~repro.serve.shm.SharedWeightStore`,
+and the :class:`~repro.serve.worker.ProcessServer` pipe protocol.  This
+module only adapts that stack to the loop:
 
+* **loop binding** — the gateway binds to the loop :meth:`start` runs on;
+  a submit from any other loop is turned away at admission.
 * **pipe multiplexing** — each process replica's response pipe registers
   with ``loop.add_reader`` (the replica's
   :meth:`~repro.serve.worker.ProcessServer.set_response_watcher` watcher
   mode, so no receiver thread exists either); the loop drains responses
   via :meth:`~repro.serve.worker.ProcessServer.process_responses` the
   moment a pipe turns readable.  Where pipe fds are not selectable
-  (non-Unix event loops), replicas keep their receiver threads and
-  results bridge onto the loop through ``call_soon_threadsafe`` — the
-  same completion path, minus the fd registration.
+  (non-Unix event loops), replicas keep their receiver threads.  Results
+  reach the awaiting caller inline when they land on the loop thread and
+  through ``call_soon_threadsafe`` otherwise.
 * **deadlines** — ``await submit(model, x, deadline=0.2)`` raises
-  :class:`~repro.utils.errors.DeadlineExceeded` when the budget runs out.
-  A request still *queued* for a concurrency slot is withdrawn outright:
-  its slot request is cancelled, the queue-depth gauge decrements, and
-  the next waiter is admitted — an expired request can never camp on
-  admission capacity.  A request already *in service* on a replica is
-  abandoned: the caller unblocks now, and the concurrency slot frees
-  when the replica's (discarded) answer lands.
-* **cancellation** — cancelling the awaiting coroutine performs the same
-  cleanup with a ``cancelled`` outcome: counters move, the queue slot
-  frees, and the ``gateway.request`` span finishes with
-  ``outcome="cancelled"`` instead of leaking unfinished.
-* **graceful drain** — ``await stop()`` closes admission, waits for every
-  in-flight request to settle (or be abandoned by its own deadline), then
-  stops the replica fleet exactly like the thread gateway.
-
-Per-request outcome is single-assignment (``_AsyncRequest.outcome``):
-completion, failure, deadline expiry, and cancellation race benignly —
-whichever lands first owns the counters and the span, and the losers are
-no-ops.  All request-path state is touched only from the owning event
-loop's thread, so the front door itself needs no new locks; the per-model
-``entry.lock`` still guards counters because ``stats()`` and the metrics
-collector read them from arbitrary threads.
+  :class:`~repro.utils.errors.DeadlineExceeded` when the budget runs out,
+  and **cancelling** the awaiting coroutine raises ``CancelledError``.
+  Both abandon the request in the admission core: a queued request leaves
+  the queue at once (the queue-depth gauge drops, the next request can be
+  admitted), while one already in service keeps its concurrency slot until
+  the replica's discarded answer lands.  The ``gateway.request`` span
+  finishes with the matching outcome.
+* **graceful drain** — ``await stop()`` closes admission, then waits off
+  the loop for the backlog to reach the replicas and for those to drain,
+  exactly like the thread gateway.
 """
 
 from __future__ import annotations
@@ -48,18 +38,15 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-import time
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from concurrent.futures import Future
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.log import get_logger
-from repro.obs.trace import Span
-from repro.serve.gateway import Gateway, _Model
+from repro.serve.gateway import Gateway, _Model, _Request
 from repro.serve.worker import ProcessServer
-from repro.utils.errors import DeadlineExceeded, GatewayOverloaded, ValidationError
+from repro.utils.errors import DeadlineExceeded, ValidationError
 
 __all__ = ["AsyncGateway"]
 
@@ -70,70 +57,15 @@ _log = get_logger("serve.async_gateway")
 _UNWATCH_TIMEOUT_S = 30.0
 
 
-class _SlotGate:
-    """FIFO concurrency gate owned by one event-loop thread — no locks.
-
-    ``asyncio.Semaphore`` has had version-dependent wake-loss bugs when a
-    waiter is cancelled in the same beat its slot is granted; this gate is
-    small enough to be obviously correct instead.  ``acquire`` either takes
-    a free slot immediately or parks a future in FIFO order; ``release``
-    grants the oldest live waiter.  A waiter cancelled *after* its grant
-    passes the slot straight on, so cancellation can never strand capacity.
-    """
-
-    def __init__(self, slots: int) -> None:
-        self._free = int(slots)
-        self._waiters: Deque[asyncio.Future] = deque()
-
-    @property
-    def free(self) -> int:
-        return self._free
-
-    async def acquire(self) -> None:
-        if self._free > 0 and not self._waiters:
-            self._free -= 1
-            return
-        fut = asyncio.get_running_loop().create_future()
-        self._waiters.append(fut)
-        try:
-            await fut
-        except asyncio.CancelledError:
-            if fut.done() and not fut.cancelled():
-                # Granted and cancelled in the same beat: hand the slot on.
-                self.release()
-            else:
-                fut.cancel()
-                try:
-                    self._waiters.remove(fut)
-                except ValueError:
-                    pass
-            raise
-
-    def release(self) -> None:
-        self._free += 1
-        while self._free > 0 and self._waiters:
-            fut = self._waiters.popleft()
-            if fut.done():  # cancelled while parked
-                continue
-            self._free -= 1
-            fut.set_result(None)
-
-
-@dataclass
-class _AsyncRequest:
-    """One admitted request's loop-side state (loop-thread only)."""
-
-    entry: _Model
-    x: np.ndarray
-    key: Optional[str]
-    enqueued: float
-    span: Optional[Span] = None
-    wall_enqueued: float = 0.0
-    dispatched: bool = False  # handed to a replica server
-    abandoned: bool = False  # caller left (deadline/cancel) after dispatch
-    outcome: Optional[str] = None  # single-assignment terminal outcome
-    outcome_hint: str = "cancelled"  # what an abandonment should count as
-    waiter: Optional[asyncio.Future] = None
+def _copy_outcome(waiter: asyncio.Future, source: Future) -> None:
+    """Loop thread: move a settled request's result onto its waiter."""
+    if waiter.done():  # the caller already left
+        return
+    error = source.exception()
+    if error is None:
+        waiter.set_result(source.result())
+    else:
+        waiter.set_exception(error)
 
 
 class AsyncGateway(Gateway):
@@ -149,16 +81,15 @@ class AsyncGateway(Gateway):
 
     The gateway binds to the event loop :meth:`start` runs on; every
     ``submit``/``stop`` must come from that loop.  The inherited blocking
-    halves (replica boot, shared-segment decode, worker shutdown) run in
-    worker threads via ``asyncio.to_thread`` so the loop never blocks.
+    halves (replica boot, shared-segment decode, drain and worker
+    shutdown) run in worker threads via ``asyncio.to_thread`` so the loop
+    never blocks.
     """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[int] = None
-        self._tasks: Set[asyncio.Task] = set()
-        self._gates: Dict[str, _SlotGate] = {}
         self._watched: Dict[ProcessServer, object] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -185,50 +116,24 @@ class AsyncGateway(Gateway):
         # the loop; watcher notifications land back on it via
         # call_soon_threadsafe while we await.
         await asyncio.to_thread(self._start_replica_servers, entries)
-        with self._gate_lock:
-            for entry in entries:
-                entry.reset_for_run()
-                self._gates[entry.name] = _SlotGate(entry.max_concurrency)
-            self._mark_running()
+        self._mark_running(entries)
         return self
 
     async def stop(self) -> None:
-        """Close admission, drain every in-flight request, stop the fleet.
+        """Close admission, drain every admitted request, stop the fleet.
 
-        Requests already admitted keep their concurrency slots and settle
-        normally (or get abandoned by their own deadlines — an abandoned
-        request's slot frees when its replica answer lands, so the drain
-        cannot deadlock on expired callers).
+        Admission closes before the first await.  Queued requests keep
+        their deadlines while the backlog drains, so expired callers are
+        released rather than held hostage to a slow replica.
         """
-        with self._gate_lock:
-            if not self._running:
-                return
-            self._running = False
-            entries = list(self._models.values())
-        for entry in entries:
-            with entry.lock:
-                entry.accepting = False
-        # No awaits between the admission flip above and this snapshot, so
-        # no request can be admitted but missed by the drain.
-        pending = [task for task in self._tasks if not task.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        await asyncio.to_thread(self._shutdown_replica_servers, entries)
+        entries = self._close_admission()
+        if entries:
+            await asyncio.to_thread(self._drain, entries)
 
     async def close(self) -> None:
         """Stop (if running) and release every replica runtime."""
         await self.stop()
-
-        def _release_runtimes() -> None:
-            with self._gate_lock:
-                if self._closed:
-                    return
-                self._closed = True
-                for entry in self._models.values():
-                    for replica in entry.replicas:
-                        replica.close_runtime()
-
-        await asyncio.to_thread(_release_runtimes)
+        await asyncio.to_thread(self._release_runtimes)
 
     async def __aenter__(self) -> "AsyncGateway":
         return await self.start()
@@ -261,10 +166,9 @@ class AsyncGateway(Gateway):
         before the first await, exactly like the thread gateway's
         ``submit``.
         """
-        if deadline is not None and float(deadline) <= 0.0:
-            raise ValidationError("deadline must be positive seconds (or None)")
-        request, task = self._admit(model, x, key)
-        return await self._await_result(request, task, deadline)
+        self._check_deadline(deadline)
+        entry, request = self._enqueue_on_loop(model, x, key)
+        return await self._result(entry, request, deadline)
 
     async def submit_many(
         self,
@@ -277,31 +181,30 @@ class AsyncGateway(Gateway):
         """A batch of samples; resolves when every row is in.
 
         Admission is per sample; a mid-sequence rejection carries the
-        already-admitted requests' tasks as ``exc.admitted`` so callers
+        already-admitted requests as tasks on ``exc.admitted`` so callers
         can await or cancel the partial batch instead of leaking it.
         ``deadline`` applies to each request individually.
         """
         if keys is not None and len(keys) != len(xs):
             raise ValidationError("keys must parallel xs")
-        if deadline is not None and float(deadline) <= 0.0:
-            raise ValidationError("deadline must be positive seconds (or None)")
+        self._check_deadline(deadline)
         admitted: List[tuple] = []
         try:
             for i, x in enumerate(xs):
                 admitted.append(
-                    self._admit(model, x, keys[i] if keys is not None else None)
+                    self._enqueue_on_loop(model, x, keys[i] if keys is not None else None)
                 )
         except BaseException as exc:
             try:
-                exc.admitted = tuple(task for _request, task in admitted)
+                exc.admitted = tuple(
+                    self._loop.create_task(self._result(*pair, deadline))
+                    for pair in admitted
+                )
             except AttributeError:  # exotic exception with __slots__
                 pass
             raise
         return await asyncio.gather(
-            *(
-                self._await_result(request, task, deadline)
-                for request, task in admitted
-            )
+            *(self._result(*pair, deadline) for pair in admitted)
         )
 
     async def infer(
@@ -315,236 +218,52 @@ class AsyncGateway(Gateway):
         """Alias of :meth:`submit` for surface parity with :class:`Gateway`."""
         return await self.submit(model, x, key=key, deadline=deadline)
 
-    def _admit(self, model: str, x: np.ndarray, key: Optional[str]) -> tuple:
-        """Synchronous admission: validate, count, start the request task."""
-        loop = asyncio.get_running_loop()
-        if loop is not self._loop:
+    @staticmethod
+    def _check_deadline(deadline: Optional[float]) -> None:
+        if deadline is not None and float(deadline) <= 0.0:
+            raise ValidationError("deadline must be positive seconds (or None)")
+
+    def _enqueue_on_loop(self, model: str, x: np.ndarray, key: Optional[str]) -> tuple:
+        if asyncio.get_running_loop() is not self._loop:
             raise ValidationError(
                 "AsyncGateway is bound to the event loop it started on; "
                 "submit from that loop"
             )
-        entry = self._model(model)
-        # Validate before the span exists: a rejected sample must not leak
-        # an unfinished gateway.request span.
-        sample = self._validate_sample(entry, x)
-        span: Optional[Span] = None
-        if self._tracer.sample():
-            span = self._tracer.start_span("gateway.request", attrs={"model": model})
-            if key is not None:
-                span.set(key=key)
-        try:
-            with entry.lock:
-                if not entry.accepting:
-                    raise ValidationError("gateway is not running (call start())")
-                if entry.queued >= entry.max_queue_depth:
-                    entry.rejected += 1
-                    raise GatewayOverloaded(
-                        f"model {model!r} is saturated: gateway queue is at its "
-                        f"depth limit of {entry.max_queue_depth}; retry with "
-                        "backoff or shed load"
-                    )
-                entry.queued += 1
-                entry.submitted += 1
-        except BaseException as exc:
-            if span is not None:
-                outcome = "rejected" if isinstance(exc, GatewayOverloaded) else "error"
-                span.set(status=outcome, outcome=outcome)
-                span.finish()
-            raise
-        request = _AsyncRequest(
-            entry=entry,
-            x=sample,
-            key=key,
-            enqueued=time.perf_counter(),
-            span=span,
-            wall_enqueued=time.time() if span is not None else 0.0,
-        )
-        task = loop.create_task(self._run_request(request))
-        self._tasks.add(task)
-        task.add_done_callback(
-            lambda t, req=request: self._request_task_done(t, req)
-        )
-        return request, task
+        return self._enqueue(model, x, key)
 
-    def _request_task_done(self, task: asyncio.Task, request: _AsyncRequest) -> None:
-        self._tasks.discard(task)
-        if task.cancelled() and request.outcome is None and not request.dispatched:
-            # Cancelled before its first step: the coroutine body never ran,
-            # so neither the gate.acquire handler nor _settle will — the
-            # admission counter and the outcome are still ours to settle.
-            with request.entry.lock:
-                request.entry.queued -= 1
-            self._finish_abandoned(request)
-
-    async def _await_result(
-        self, request: _AsyncRequest, task: asyncio.Task, deadline: Optional[float]
+    async def _result(
+        self, entry: _Model, request: _Request, deadline: Optional[float]
     ) -> np.ndarray:
-        if deadline is None:
-            # Direct await: caller cancellation propagates into the task,
-            # whose own CancelledError handlers run the abandon accounting
-            # (the trailing _abandon is then a no-op on the done task).
-            try:
-                return await task
-            except asyncio.CancelledError:
-                self._abandon(request, task, "cancelled")
-                raise
-        # Shield the request task: expiry/cancellation of *this caller*
-        # must run the abandon protocol below, not tear the task down
-        # mid-accounting.
-        shielded = asyncio.shield(task)
+        """Await one admitted request; a caller leaving abandons it."""
+        waiter = self._loop.create_future()
+        request.future.add_done_callback(lambda f: self._deliver(waiter, f))
         try:
-            return await asyncio.wait_for(shielded, timeout=float(deadline))
+            if deadline is None:
+                return await waiter
+            return await asyncio.wait_for(waiter, timeout=float(deadline))
         except asyncio.TimeoutError:
-            self._abandon(request, task, "deadline_exceeded")
+            # If the request settled in the same beat, its outcome stands.
+            entry.abandon(request, "deadline_exceeded")
             raise DeadlineExceeded(
-                f"request to model {request.entry.name!r} exceeded its "
+                f"request to model {entry.name!r} exceeded its "
                 f"deadline of {float(deadline):.3f}s"
             ) from None
         except asyncio.CancelledError:
-            self._abandon(request, task, "cancelled")
+            entry.abandon(request, "cancelled")
             raise
 
-    async def _run_request(self, request: _AsyncRequest) -> np.ndarray:
-        entry = request.entry
-        gate = self._gates[entry.name]
-        try:
-            await gate.acquire()
-        except asyncio.CancelledError:
-            # Withdrawn while queued: the admission slot frees *now* — an
-            # expired request must not camp on queue capacity.
-            with entry.lock:
-                entry.queued -= 1
-            self._finish_abandoned(request)
-            raise
-        span = request.span
-        if span is not None:
-            # Admission wait: submit-time enqueue → concurrency slot.
-            span.child("gateway.admission", start_s=request.wall_enqueued).finish()
-        dequeued = False
-        try:
-            shard_start = time.time() if span is not None else 0.0
-            index = int(entry.policy.choose(entry.replicas, request.key))
-            replica = entry.replicas[index]
-            if span is not None:
-                span.child(
-                    "gateway.shard",
-                    start_s=shard_start,
-                    attrs={"policy": entry.policy.name, "replica": replica.id},
-                ).finish()
-            with entry.lock:
-                entry.queued -= 1
-                replica.dispatched += 1
-            dequeued = True
-            inner = replica.server.submit(request.x, span)
-        except BaseException as exc:
-            # A failing shard policy (or replica submit) must not leak the
-            # admission counter or the concurrency slot.
-            with entry.lock:
-                entry.failures += 1
-                if not dequeued:
-                    entry.queued -= 1
-            gate.release()
-            request.outcome = "error"
-            if span is not None:
-                span.set(status="error", outcome="error")
-                span.finish()
-            raise exc
-        request.dispatched = True
-        request.waiter = self._loop.create_future()
-        inner.add_done_callback(
-            lambda f, req=request: self._bridge_settle(req, f)
-        )
-        try:
-            return await request.waiter
-        except asyncio.CancelledError:
-            request.abandoned = True
-            self._finish_abandoned(request)
-            raise
+    def _deliver(self, waiter: asyncio.Future, source: Future) -> None:
+        """Done-callback of a request's future: onto the loop.
 
-    def _abandon(self, request: _AsyncRequest, task: asyncio.Task, outcome: str) -> None:
-        """Caller left (deadline expired / cancelled): clean up now.
-
-        Runs on the loop thread, so ``dispatched``/``outcome`` are
-        consistent: either the request still waits on a concurrency slot
-        (cancel the task — its slot request unwinds and admission frees),
-        or it is in service (account the abandonment now, unblock the task;
-        the slot frees when the replica's discarded answer settles).
-        """
-        if task.done() or request.outcome is not None:
-            return  # settled in the same beat; the result's outcome stands
-        request.outcome_hint = outcome
-        if request.dispatched:
-            request.abandoned = True
-            self._finish_abandoned(request)
-            if request.waiter is not None and not request.waiter.done():
-                request.waiter.cancel()
-        else:
-            task.cancel()
-
-    def _finish_abandoned(self, request: _AsyncRequest) -> None:
-        """Single-assignment outcome + counters + span for an abandonment."""
-        if request.outcome is not None:
-            return
-        outcome = request.outcome_hint
-        request.outcome = outcome
-        entry = request.entry
-        with entry.lock:
-            entry.latency_hist.observe(time.perf_counter() - request.enqueued)
-            if outcome == "deadline_exceeded":
-                entry.deadline_exceeded += 1
-            else:
-                entry.cancelled += 1
-        if request.span is not None:
-            request.span.set(status=outcome, outcome=outcome)
-            request.span.finish()
-
-    def _bridge_settle(self, request: _AsyncRequest, inner) -> None:
-        """Route a finished replica future to :meth:`_settle` on the loop.
-
-        In multiplex mode the worker future resolves *on the loop thread
-        itself* (inside ``process_responses``, after the server has dropped
-        its state lock), so settling runs inline — no ``call_soon_threadsafe``
-        self-pipe wakeup syscall per response.  The receiver-thread fallback
-        bridges across threads the usual way.
+        In multiplex mode replica answers resolve *on the loop thread
+        itself* (inside ``process_responses``), so the result is copied
+        inline — no ``call_soon_threadsafe`` self-pipe wakeup per
+        response.  Receiver and batching threads bridge the usual way.
         """
         if threading.get_ident() == self._loop_thread:
-            self._settle(request, inner)
+            _copy_outcome(waiter, source)
         else:
-            self._loop.call_soon_threadsafe(self._settle, request, inner)
-
-    def _settle(self, request: _AsyncRequest, inner) -> None:
-        """A replica answer landed (loop thread): free the slot, resolve."""
-        entry = request.entry
-        gate = self._gates.get(entry.name)
-        if gate is not None:
-            gate.release()
-        waiter = request.waiter
-        if request.abandoned or request.outcome is not None:
-            # The caller already left; the answer is discarded.  Cancel the
-            # waiter so the request task unwinds instead of lingering.
-            if waiter is not None and not waiter.done():
-                waiter.cancel()
-            return
-        exc = inner.exception()
-        request.outcome = "completed" if exc is None else "failed"
-        with entry.lock:
-            entry.latency_hist.observe(time.perf_counter() - request.enqueued)
-            if exc is None:
-                entry.completed += 1
-            else:
-                entry.failures += 1
-        if request.span is not None:
-            if exc is None:
-                request.span.set(outcome="completed")
-            else:
-                request.span.set(status="error", outcome="failed")
-            request.span.finish()
-        if waiter is None or waiter.done():  # pragma: no cover - defensive
-            return
-        if exc is None:
-            waiter.set_result(inner.result())
-        else:
-            waiter.set_exception(exc)
+            self._loop.call_soon_threadsafe(_copy_outcome, waiter, source)
 
     # -- pipe multiplexing -------------------------------------------------
     @staticmethod

@@ -29,7 +29,7 @@ a latency collapse.
 :class:`~repro.serve.AsyncGateway`: N concurrent client *coroutines* on one
 event loop instead of N threads, over the identical replica backend.  Its
 ``throughput_rps`` is directly comparable to :func:`gateway_benchmark` at
-the same client count — the number the thread-dispatcher-vs-event-loop
+the same client count — the number the blocking-vs-event-loop front door
 comparison is judged on.
 """
 
@@ -348,9 +348,9 @@ def async_gateway_benchmark(
     models, waiting for every response before the next.  Here the clients are
     coroutines multiplexed on the one event loop the
     :class:`~repro.serve.AsyncGateway` runs on — the whole front half of the
-    system is a single thread, which is exactly what the thread-dispatcher
-    comparison measures (64 coroutines cost one stack; 64 client threads plus
-    per-model dispatcher threads cost a scheduler).
+    system is a single thread, which is exactly what the comparison with the
+    blocking front door measures (64 coroutines cost one stack; 64 client
+    threads cost a scheduler).
 
     ``deadline`` (seconds) is attached to every request when set;
     :class:`~repro.utils.errors.DeadlineExceeded` responses are counted, not

@@ -27,37 +27,40 @@ in.  :class:`Gateway` is that front door:
   (fair, stateful), ``least-loaded`` (reads each replica's in-flight
   gauge), and ``consistent-hash`` (stable key → replica mapping that
   keeps a client's requests on one replica's warm cache);
-* **admission control** keeps overload predictable: each model has a
-  bounded gateway queue (``max_queue_depth``) with *fast-fail* rejection —
-  a full queue raises :class:`~repro.utils.errors.GatewayOverloaded`
-  (429-style) instead of stretching everyone's latency — and a
-  ``max_concurrency`` cap on requests in service across the model's
-  replicas, enforced by the per-model dispatcher;
+* **admission control** keeps overload predictable: a request that finds
+  a free ``max_concurrency`` slot is handed to a replica inline, inside
+  ``submit``; otherwise it parks in a bounded FIFO (``max_queue_depth``)
+  until a completing request frees a slot.  A full queue fast-fails with
+  :class:`~repro.utils.errors.GatewayOverloaded` (429-style) instead of
+  stretching everyone's latency.  One lock-guarded core per model
+  (:class:`_Model`) does this bookkeeping for both front doors — this
+  blocking one and :class:`~repro.serve.async_gateway.AsyncGateway`;
 * **stats** aggregate the whole fleet: per-model throughput and latency
   percentiles (measured submit→resolve, queue wait included), rejection
   rates and live queue depth, per-replica dispatch counts, in-flight
   gauges, decode counts and resident cache bytes.
 
 Lifecycle mirrors :class:`Server`: ``start()`` spins up every replica
-server and one dispatcher thread per model, ``stop()`` closes admission,
-drains every queued and in-flight request (every accepted future resolves),
-and freezes the stats clock; a stopped gateway restarts cleanly with fresh
-queues and counters.  ``close()`` additionally releases the replica
-runtimes (after which the gateway cannot be restarted).
+server, ``stop()`` closes admission, waits until every parked request has
+been handed to a replica, then stops the replica servers, which drain
+in-flight work (every accepted future resolves), and freezes the stats
+clock; a stopped gateway restarts cleanly with fresh queues and counters.
+``close()`` additionally releases the replica runtimes (after which the
+gateway cannot be restarted).
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
-import queue
 import threading
 import time
 from bisect import bisect_right
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -119,9 +122,9 @@ class ShardPolicy(abc.ABC):
 
     One policy instance belongs to one model (policies may hold state);
     :meth:`bind` is called once with the model's replica ids — in index
-    order — before any :meth:`choose`.  ``choose`` runs on the model's
-    single dispatcher thread, so implementations only need locks if they
-    are also queried from outside (``Gateway.stats`` never calls them).
+    order — before any :meth:`choose`.  ``choose`` runs on whichever
+    thread dispatches — a submitting caller or a completing request — so
+    stateful implementations guard their state with a lock.
     """
 
     name: str = "?"
@@ -362,18 +365,50 @@ class Replica:
             self.runtime.close()
 
 
-@dataclass
-class _GatewayRequest:
+@dataclass(eq=False)
+class _Request:
+    """One admitted request as the admission core tracks it.
+
+    ``state`` moves ``queued`` (parked, holds no slot) → ``dispatched``
+    (holds a concurrency slot) → ``settled``.  A caller that leaves first
+    (an async deadline or cancellation) ends it ``abandoned`` instead.
+    Every transition happens under the model lock, so the outcome is
+    assigned exactly once.
+    """
+
     x: np.ndarray
     key: Optional[str]
     future: Future
     enqueued: float
     span: Optional[Span] = None
     wall_enqueued: float = 0.0  # time.time() twin of enqueued, traced only
+    state: str = "queued"
+
+
+def _finish_span(span: Optional[Span], outcome: str) -> None:
+    """Stamp a request's terminal outcome on its root span and finish it."""
+    if span is None:
+        return
+    if outcome == "completed":
+        span.set(outcome=outcome)
+    else:
+        span.set(status="error" if outcome == "failed" else outcome, outcome=outcome)
+    span.finish()
 
 
 class _Model:
-    """Per-model gateway state: replicas, policy, admission, dispatcher."""
+    """Per-model state: replicas, shard policy, and the admission core.
+
+    The core is one lock over a free-slot count, a FIFO of parked requests
+    and the outcome counters; both front doors run every request through
+    it.  :meth:`admit` grants a free ``max_concurrency`` slot at once (the
+    submitting thread then dispatches the request inline) or parks the
+    request.  :meth:`_settle` frees a finished request's slot and grants
+    it to the oldest parked request, which the completing thread
+    dispatches next.  The lock covers bookkeeping only: replica submits
+    and caller-future resolution run with it released, so no pipe write
+    waits under it and a caller's done-callback may ``submit`` again.
+    """
 
     def __init__(
         self,
@@ -406,38 +441,177 @@ class _Model:
         self.shared = None
         self.shared_bytes = 0
         self.lock = make_lock("serve.gateway.model")
-        self.accepting = False
-        self.queue: "queue.SimpleQueue[Optional[_GatewayRequest]]" = queue.SimpleQueue()
-        self.semaphore = threading.BoundedSemaphore(max_concurrency)
-        self.dispatcher: Optional[threading.Thread] = None
-        self.queued = 0  # admitted, not yet handed to a replica server
-        self.submitted = 0
-        self.completed = 0
-        self.failures = 0
-        self.rejected = 0
-        self.deadline_exceeded = 0  # async front door: expired deadlines
-        self.cancelled = 0  # async front door: caller cancellations
-        # Bounded replacement for the old unbounded per-request latency
-        # list: log-scale buckets for percentile exposition plus a fixed
-        # reservoir that keeps small-run percentiles exact.
-        self.latency_hist = Histogram()
+        # Notified whenever ``queued`` reaches zero; stop() waits on it.
+        self.idle = threading.Condition(self.lock)
+        self.reset_for_run(accepting=False)
 
-    def reset_for_run(self) -> None:
-        """Fresh queue/semaphore/counters for a new gateway run (stats are
+    def reset_for_run(self, accepting: bool = True) -> None:
+        """Fresh slots, queue and counters for a new gateway run (stats are
         per run, exactly like :class:`Server`'s)."""
-        self.queue = queue.SimpleQueue()
-        self.semaphore = threading.BoundedSemaphore(self.max_concurrency)
-        self.queued = 0
-        self.submitted = 0
-        self.completed = 0
-        self.failures = 0
-        self.rejected = 0
-        self.deadline_exceeded = 0
-        self.cancelled = 0
-        self.latency_hist = Histogram()
-        for replica in self.replicas:
-            replica.dispatched = 0
-        self.accepting = True
+        with self.lock:
+            self.free = self.max_concurrency
+            self.parked: Deque[_Request] = deque()
+            self.queued = 0  # admitted, not yet handed to a replica server
+            self.counts = dict.fromkeys(
+                ("submitted", "completed", "failed", "rejected",
+                 "deadline_exceeded", "cancelled"),
+                0,
+            )
+            # Log-scale buckets for percentile exposition plus a fixed
+            # reservoir that keeps small-run percentiles exact.
+            self.latency_hist = Histogram()
+            for replica in self.replicas:
+                replica.dispatched = 0
+            self.accepting = accepting
+
+    # -- admission core ----------------------------------------------------
+    def admit(self, request: _Request) -> bool:
+        """Count ``request`` in: ``True`` when it holds a slot and must be
+        dispatched now, ``False`` when it parked behind busy replicas."""
+        with self.lock:
+            if not self.accepting:
+                raise ValidationError("gateway is not running (call start())")
+            granted = self.free > 0 and not self.parked
+            if granted:
+                self.free -= 1
+                request.state = "dispatched"
+            elif len(self.parked) >= self.max_queue_depth:
+                self.counts["rejected"] += 1
+                raise GatewayOverloaded(
+                    f"model {self.name!r} is saturated: gateway queue is at its "
+                    f"depth limit of {self.max_queue_depth}; retry with "
+                    "backoff or shed load"
+                )
+            else:
+                self.parked.append(request)
+            self.counts["submitted"] += 1
+            self.queued += 1
+        return granted
+
+    def dispatch(self, request: Optional[_Request]) -> None:
+        """Hand slot-holding requests to replicas, one after another.
+
+        A hand-off that fails settles its request, and the slot it frees
+        passes to the next parked request, which this loop dispatches too.
+        """
+        while request is not None:
+            request = self._hand_off(request)
+
+    def _hand_off(self, request: _Request) -> Optional[_Request]:
+        # A sync caller may have cancelled its future while it was parked;
+        # the standard grant hook reports that, and the request is skipped.
+        if not request.future.set_running_or_notify_cancel():
+            return self._settle(request, "cancelled", handed=False)
+        span = request.span
+        if span is not None:
+            # Admission wait: submit-time enqueue → concurrency slot.
+            span.child("gateway.admission", start_s=request.wall_enqueued).finish()
+        try:
+            shard_start = time.time() if span is not None else 0.0
+            replica = self.replicas[int(self.policy.choose(self.replicas, request.key))]
+            if span is not None:
+                span.child(
+                    "gateway.shard",
+                    start_s=shard_start,
+                    attrs={"policy": self.policy.name, "replica": replica.id},
+                ).finish()
+            inner = replica.server.submit(request.x, span)
+        except BaseException as exc:
+            # A raising shard policy or a down replica fails this request
+            # only; its slot passes on.
+            return self._settle(request, "error", error=exc, handed=False)
+        with self.lock:
+            replica.dispatched += 1
+            self._unqueue_locked()
+        inner.add_done_callback(lambda f, r=request: self.dispatch(self._on_done(r, f)))
+        return None
+
+    def _on_done(self, request: _Request, inner: Future) -> Optional[_Request]:
+        error = inner.exception()
+        if error is None:
+            return self._settle(request, "completed", result=inner.result())
+        return self._settle(request, "failed", error=error)
+
+    def _settle(
+        self,
+        request: _Request,
+        outcome: str,
+        *,
+        result=None,
+        error: Optional[BaseException] = None,
+        handed: bool = True,
+    ) -> Optional[_Request]:
+        """A slot-holding request is finished: free the slot, assign the
+        outcome unless the caller already left, resolve the caller.
+
+        Returns the parked request the slot passed to, for the caller to
+        dispatch.
+        """
+        with self.lock:
+            if not handed:
+                self._unqueue_locked()
+            owner = request.state == "dispatched"
+            if owner:
+                self._assign_locked(request, "settled", outcome)
+            granted = self.parked.popleft() if self.parked else None
+            if granted is None:
+                self.free += 1
+            else:
+                granted.state = "dispatched"
+        if owner:
+            _finish_span(request.span, outcome)
+            if error is not None:
+                request.future.set_exception(error)
+            elif outcome == "completed":
+                request.future.set_result(result)
+        return granted
+
+    def abandon(self, request: _Request, outcome: str) -> bool:
+        """The caller left (deadline or cancellation): assign ``outcome`` now.
+
+        A parked request leaves the queue at once; a dispatched one keeps
+        its slot until the replica answers, and that answer is discarded.
+        ``False`` when the request had already settled.
+        """
+        with self.lock:
+            if request.state == "queued":
+                self.parked.remove(request)
+                self._unqueue_locked()
+            elif request.state != "dispatched":
+                return False
+            self._assign_locked(request, "abandoned", outcome)
+        _finish_span(request.span, outcome)
+        return True
+
+    def _assign_locked(self, request: _Request, state: str, outcome: str) -> None:
+        request.state = state
+        self.counts["failed" if outcome == "error" else outcome] += 1
+        self.latency_hist.observe(time.perf_counter() - request.enqueued)
+
+    def _unqueue_locked(self) -> None:
+        self.queued -= 1
+        if not self.queued:
+            self.idle.notify_all()
+
+    def close_admission(self) -> None:
+        with self.lock:
+            self.accepting = False
+
+    def wait_handed_off(self) -> None:
+        """Block until every admitted request has reached a replica."""
+        with self.lock:
+            self.idle.wait_for(lambda: not self.queued)
+
+    def snapshot(self) -> tuple:
+        """``(counts, queued, latency histogram, per-replica dispatched)``
+        under one lock hold — what both stats() and the collector read."""
+        with self.lock:
+            return (
+                dict(self.counts),
+                self.queued,
+                self.latency_hist.copy(),
+                [replica.dispatched for replica in self.replicas],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +974,7 @@ class Gateway:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "Gateway":
-        """Start every replica server and one dispatcher thread per model.
+        """Start every replica server and open admission.
 
         The slow half — shared-segment acquisition (a full decode on first
         touch) and worker process spawns — runs *outside* the gate lock,
@@ -812,17 +986,7 @@ class Gateway:
         if not entries:
             return self  # already running
         self._start_replica_servers(entries)
-        with self._gate_lock:
-            for entry in entries:
-                entry.reset_for_run()
-                entry.dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    args=(entry,),
-                    name=f"repro-gateway-{entry.name}",
-                    daemon=True,
-                )
-                entry.dispatcher.start()
-            self._mark_running()
+        self._mark_running(entries)
         return self
 
     def _begin_start(self) -> List[_Model]:
@@ -875,13 +1039,16 @@ class Gateway:
                 self._starting = False
             raise
 
-    def _mark_running(self) -> None:
-        """Gate-lock-held tail of start(): flip flags, start the stats clock."""
-        self._running = True
-        self._starting = False
-        self._started_at = time.perf_counter()
-        self._stopped_at = None
-        self._registry.register_collector(self._collect)
+    def _mark_running(self, entries: List[_Model]) -> None:
+        """Tail of start(): open admission, flip flags, start the stats clock."""
+        with self._gate_lock:
+            for entry in entries:
+                entry.reset_for_run()
+            self._running = True
+            self._starting = False
+            self._started_at = time.perf_counter()
+            self._stopped_at = None
+            self._registry.register_collector(self._collect)
 
     def _shutdown_replica_servers(self, entries: List[_Model]) -> None:
         """Tail of stop(): stop every replica server, release the segments."""
@@ -900,30 +1067,37 @@ class Gateway:
     def stop(self) -> None:
         """Close admission, drain every accepted request, stop the fleet.
 
-        The shutdown sentinel enters each model's queue under the same lock
-        ``submit`` enqueues under, so every accepted request sits ahead of
-        it; dispatchers hand their backlog to the replica servers before
-        exiting, and ``Server.stop`` drains those — every future returned
-        by ``submit`` resolves.
+        Parked requests still get their slots as in-flight ones complete;
+        once every admitted request has reached a replica, ``Server.stop``
+        drains those — every future returned by ``submit`` resolves.
         """
+        entries = self._close_admission()
+        if entries:
+            self._drain(entries)
+
+    def _close_admission(self) -> List[_Model]:
+        """Head of stop(): the models to drain, or ``[]`` when not running."""
         with self._gate_lock:
             if not self._running:
-                return
+                return []
             self._running = False
             entries = list(self._models.values())
         for entry in entries:
-            with entry.lock:
-                entry.accepting = False
-                entry.queue.put(None)
+            entry.close_admission()
+        return entries
+
+    def _drain(self, entries: List[_Model]) -> None:
+        """Blocking tail of stop(): hand off the backlog, stop the fleet."""
         for entry in entries:
-            if entry.dispatcher is not None:
-                entry.dispatcher.join()
-                entry.dispatcher = None
+            entry.wait_handed_off()
         self._shutdown_replica_servers(entries)
 
     def close(self) -> None:
         """Stop (if running) and release every replica runtime."""
         self.stop()
+        self._release_runtimes()
+
+    def _release_runtimes(self) -> None:
         with self._gate_lock:
             if self._closed:
                 return
@@ -968,16 +1142,27 @@ class Gateway:
         return sample
 
     def submit(self, model: str, x: np.ndarray, *, key: Optional[str] = None) -> Future:
-        """Enqueue one sample for ``model``; the future resolves to its
+        """Admit one sample for ``model``; the future resolves to its
         output row.
 
         ``key`` is the shard key (consistent-hash policies route by it;
-        others ignore it).  Raises :class:`GatewayOverloaded` immediately —
-        never blocks — when the model's bounded queue is full, and
+        others ignore it).  With a free concurrency slot the request goes
+        to a replica before ``submit`` returns; otherwise it waits in the
+        model's bounded queue.  Raises :class:`GatewayOverloaded`
+        immediately — never blocks — when that queue is full, and
         :class:`ValidationError` for a bad sample (wrong shape/width or not
         float32-castable — checked at admission so one bad input can never
         fail a co-batched group) or when the gateway is not running.
+        Cancelling the future while the request is still queued withdraws
+        it (counted ``cancelled``).
         """
+        return self._enqueue(model, x, key)[1].future
+
+    def _enqueue(
+        self, model: str, x: np.ndarray, key: Optional[str]
+    ) -> "tuple[_Model, _Request]":
+        """Admission shared by both front doors: validate, admit, and
+        dispatch at once when a slot is free."""
         entry = self._model(model)
         # Validate before the span exists: a rejected sample must not leak
         # an unfinished gateway.request span.
@@ -987,7 +1172,7 @@ class Gateway:
             span = self._tracer.start_span("gateway.request", attrs={"model": model})
             if key is not None:
                 span.set(key=key)
-        request = _GatewayRequest(
+        request = _Request(
             x=sample,
             key=key,
             future=Future(),
@@ -996,28 +1181,13 @@ class Gateway:
             wall_enqueued=time.time() if span is not None else 0.0,
         )
         try:
-            with entry.lock:
-                if not entry.accepting:
-                    raise ValidationError("gateway is not running (call start())")
-                if entry.queued >= entry.max_queue_depth:
-                    entry.rejected += 1
-                    raise GatewayOverloaded(
-                        f"model {model!r} is saturated: gateway queue is at its "
-                        f"depth limit of {entry.max_queue_depth}; retry with "
-                        "backoff or shed load"
-                    )
-                entry.queued += 1
-                entry.submitted += 1
-                # Enqueue under the admission lock so no request can land
-                # behind stop()'s shutdown sentinel.
-                entry.queue.put(request)
+            granted = entry.admit(request)
         except BaseException as exc:
-            if span is not None:
-                outcome = "rejected" if isinstance(exc, GatewayOverloaded) else "error"
-                span.set(status=outcome, outcome=outcome)
-                span.finish()
+            _finish_span(span, "rejected" if isinstance(exc, GatewayOverloaded) else "error")
             raise
-        return request.future
+        if granted:
+            entry.dispatch(request)
+        return entry, request
 
     def submit_many(
         self,
@@ -1064,77 +1234,6 @@ class Gateway:
         with entry.lock:
             return entry.queued
 
-    # -- dispatch ----------------------------------------------------------
-    def _dispatch_loop(self, entry: _Model) -> None:
-        # One dispatcher per model: pops admitted requests, waits for a
-        # concurrency slot, routes by the shard policy, and hands off to
-        # the replica's batching server.  Exits only via the sentinel, so
-        # everything admitted before stop() is dispatched before it dies.
-        while True:
-            request = entry.queue.get()
-            if request is None:
-                return
-            entry.semaphore.acquire()
-            span = request.span
-            if span is not None:
-                # Admission wait: submit-time enqueue → concurrency slot.
-                span.child("gateway.admission", start_s=request.wall_enqueued).finish()
-            dequeued = False
-            try:
-                shard_start = time.time() if span is not None else 0.0
-                index = int(entry.policy.choose(entry.replicas, request.key))
-                replica = entry.replicas[index]
-                if span is not None:
-                    span.child(
-                        "gateway.shard",
-                        start_s=shard_start,
-                        attrs={"policy": entry.policy.name, "replica": replica.id},
-                    ).finish()
-                with entry.lock:
-                    entry.queued -= 1
-                    replica.dispatched += 1
-                dequeued = True
-                inner = replica.server.submit(request.x, span)
-            except BaseException as exc:
-                # A failing shard policy (or replica submit) must not leak
-                # the admission counter, or the model saturates forever.
-                with entry.lock:
-                    entry.failures += 1
-                    if not dequeued:
-                        entry.queued -= 1
-                entry.semaphore.release()
-                if span is not None:
-                    span.set(status="error", outcome="error")
-                    span.finish()
-                request.future.set_exception(exc)
-                continue
-            inner.add_done_callback(
-                lambda f, req=request, e=entry: self._complete(e, req, f)
-            )
-
-    def _complete(self, entry: _Model, request: _GatewayRequest, inner: Future) -> None:
-        done = time.perf_counter()
-        exc = inner.exception()
-        with entry.lock:
-            entry.latency_hist.observe(done - request.enqueued)
-            if exc is None:
-                entry.completed += 1
-            else:
-                entry.failures += 1
-        # Free the concurrency slot before waking the caller so a resolved
-        # future's owner can immediately submit into the freed capacity.
-        entry.semaphore.release()
-        if request.span is not None:
-            if exc is not None:
-                request.span.set(status="error", outcome="failed")
-            else:
-                request.span.set(outcome="completed")
-            request.span.finish()
-        if exc is None:
-            request.future.set_result(inner.result())
-        else:
-            request.future.set_exception(exc)
-
     # -- statistics --------------------------------------------------------
     def stats(self) -> GatewayStats:
         end = self._stopped_at if self._stopped_at is not None else time.perf_counter()
@@ -1144,25 +1243,23 @@ class Gateway:
         with self._gate_lock:
             entries = list(self._models.values())
         for entry in entries:
-            with entry.lock:
-                hist = entry.latency_hist.copy()
-                model = ModelStats(
-                    name=entry.name,
-                    policy=entry.policy.name,
-                    backend=entry.backend,
-                    shared_bytes=entry.shared_bytes,
-                    submitted=entry.submitted,
-                    completed=entry.completed,
-                    failures=entry.failures,
-                    rejected=entry.rejected,
-                    deadline_exceeded=entry.deadline_exceeded,
-                    cancelled=entry.cancelled,
-                    queue_depth=entry.queued,
-                    max_queue_depth=entry.max_queue_depth,
-                    max_concurrency=entry.max_concurrency,
-                    elapsed_seconds=elapsed,
-                )
-                dispatched = [replica.dispatched for replica in entry.replicas]
+            counts, queued, hist, dispatched = entry.snapshot()
+            model = ModelStats(
+                name=entry.name,
+                policy=entry.policy.name,
+                backend=entry.backend,
+                shared_bytes=entry.shared_bytes,
+                submitted=counts["submitted"],
+                completed=counts["completed"],
+                failures=counts["failed"],
+                rejected=counts["rejected"],
+                deadline_exceeded=counts["deadline_exceeded"],
+                cancelled=counts["cancelled"],
+                queue_depth=queued,
+                max_queue_depth=entry.max_queue_depth,
+                max_concurrency=entry.max_concurrency,
+                elapsed_seconds=elapsed,
+            )
             model.latencies_ms = hist.percentiles(scale=1e3)
             model.replicas = [
                 ReplicaStats(
@@ -1191,7 +1288,7 @@ class Gateway:
     def _collect(self) -> List[MetricSample]:
         """Registry collector: the serving fleet as metric samples.
 
-        Runs at scrape time only, reading the same per-model state
+        Runs at scrape time only, reading the same per-model snapshot
         :meth:`stats` reads — the request hot path never touches the
         registry.  Registered at :meth:`start`, unregistered at
         :meth:`stop`.
@@ -1200,18 +1297,7 @@ class Gateway:
         with self._gate_lock:
             entries = list(self._models.values())
         for entry in entries:
-            with entry.lock:
-                outcomes = {
-                    "submitted": entry.submitted,
-                    "completed": entry.completed,
-                    "failed": entry.failures,
-                    "rejected": entry.rejected,
-                    "deadline_exceeded": entry.deadline_exceeded,
-                    "cancelled": entry.cancelled,
-                }
-                deadline_exceeded = entry.deadline_exceeded
-                queued = entry.queued
-                hist = entry.latency_hist.copy()
+            outcomes, queued, hist, dispatched = entry.snapshot()
             for outcome, value in sorted(outcomes.items()):
                 samples.append(
                     MetricSample(
@@ -1231,7 +1317,7 @@ class Gateway:
                     kind="counter",
                     help="Requests whose deadline expired before a result.",
                     labels={"model": entry.name},
-                    value=float(deadline_exceeded),
+                    value=float(outcomes["deadline_exceeded"]),
                 )
             )
             samples.append(
@@ -1259,7 +1345,7 @@ class Gateway:
                 "coalesced": 0,
             }
             cache_resident = 0
-            for replica in entry.replicas:
+            for replica, count in zip(entry.replicas, dispatched):
                 labels = {"model": entry.name, "replica": replica.id}
                 samples.append(
                     MetricSample(
@@ -1276,7 +1362,7 @@ class Gateway:
                         kind="counter",
                         help="Requests the shard policy routed to a replica.",
                         labels=labels,
-                        value=float(replica.dispatched),
+                        value=float(count),
                     )
                 )
                 if replica.runtime is not None:

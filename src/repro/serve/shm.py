@@ -1,8 +1,8 @@
 """Shared-memory weight cache: decode once per host, serve from every process.
 
-Thread-backed replica pools (PR 5) contend on one interpreter: dispatcher
-loops, batching servers, and the Python-level forward passes all serialize
-on the GIL, so gateway throughput *falls* as replicas are added.  The fix is
+Thread-backed replica pools contend on one interpreter: gateway
+admission, batching servers, and the Python-level forward passes all
+serialize on the GIL, so gateway throughput *falls* as replicas are added.  The fix is
 process-backed replicas — but naively, each worker process would mmap the
 archive and re-decode every layer, multiplying both startup cost and
 resident memory by the pool size.

@@ -9,11 +9,14 @@ interpreter's GIL.  A *process* replica moves the hot loop out:
   (:class:`~repro.serve.shm.SharedRuntime` — no archive read, no codec
   pass, no private weight copy), builds the serving network (the default
   :class:`~repro.serve.gateway.ArchiveMLP`, or a picklable
-  ``network_factory``), and runs a dynamic-batching loop over the request
-  pipe: a batch closes when it is full or when the oldest request has
-  waited ``max_batch_delay`` — the same policy as the in-process
+  ``network_factory``), and runs a dynamic-batching loop over the
+  requests a reader thread drains off the request pipe: a batch closes
+  when it is full or when the oldest request has waited
+  ``max_batch_delay`` — the same policy as the in-process
   :class:`~repro.serve.server.Server` — then one forward pass answers the
-  whole batch with a single response message.
+  whole batch with a single response message.  Because the pipe is always
+  drained, a parent-side send never waits on the worker's response writes,
+  so one parent thread may both send requests and read responses.
 * :class:`ProcessServer` is the parent-side handle with the same surface a
   :class:`~repro.serve.gateway.Replica` expects from a ``Server``
   (``start/stop/submit/infer/inflight/stats``), so the gateway's dispatch,
@@ -45,7 +48,7 @@ rejects submissions instead of crash-looping.  Workers never own the
 shared segment, so no crash can leak ``/dev/shm``.
 
 **Start method.**  Workers default to ``spawn``: ``fork`` from a gateway
-that already runs receiver/dispatcher threads inherits locks in unknown
+that already runs receiver threads inherits locks in unknown
 states (the same reason the codec registry documents spawn semantics), and
 spawn behaves identically across platforms.  The decoded weights cross via
 shared memory, so spawn's re-import is the only startup cost;
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -204,6 +208,24 @@ def _batch_spans(batch, assembled_s, fwd_start_s, fwd_end_s, fetches) -> List[di
     return spans
 
 
+def _pump_requests(request_conn, inbox) -> None:
+    """Worker reader thread: request pipe → batching inbox.
+
+    Each request is stamped with its receive time (the ``replica.queue``
+    span start).  The stop sentinel, or a parent gone mid-pipe, ends the
+    pump with ``None``.
+    """
+    try:
+        while True:
+            message = request_conn.recv()
+            if message is None:
+                break
+            inbox.put((message[0], message[1], message[2], time.time()))
+    except (EOFError, OSError):  # parent died; the batching loop winds down
+        pass
+    inbox.put(None)
+
+
 def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
     """Child entry: attach shared weights, answer batched requests."""
     # Imported lazily: the parent-side module must stay importable without
@@ -229,26 +251,33 @@ def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
         return
     _send_safely(response_conn, ("ready", runtime.shared_bytes))
 
+    # A reader thread drains the request pipe into ``inbox`` as requests
+    # arrive, so a parent send never waits on this process's response
+    # writes — the parent thread sending may be the only one reading them.
+    inbox: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
+    threading.Thread(
+        target=_pump_requests, args=(request_conn, inbox), daemon=True
+    ).start()
     try:
         stopping = False
         while not stopping:
-            message = request_conn.recv()
+            message = inbox.get()
             if message is None:
                 break
-            batch = [(message[0], message[1], message[2], time.time())]
+            batch = [message]
             deadline = time.perf_counter() + spec.max_batch_delay
             while len(batch) < spec.batch_size:
-                remaining = deadline - time.perf_counter()
-                # Past the deadline, still drain what is already in the
-                # pipe (backlog from the previous forward pass); only
-                # *waiting* for more requests is bounded by the delay.
-                if not request_conn.poll(max(0.0, remaining)):
+                # Past the deadline, still drain what has already arrived
+                # (backlog from the previous forward pass); only *waiting*
+                # for more requests is bounded by the delay.
+                try:
+                    message = inbox.get(timeout=max(0.0, deadline - time.perf_counter()))
+                except queue.Empty:
                     break
-                message = request_conn.recv()
                 if message is None:
                     stopping = True
                     break
-                batch.append((message[0], message[1], message[2], time.time()))
+                batch.append(message)
             ids = [req_id for req_id, _, _, _ in batch]
             traced = any(ctx is not None for _, _, ctx, _ in batch)
             profiled = block is not None and obs_metrics.is_enabled()

@@ -110,8 +110,11 @@ class TestSGDTrainer:
     def test_divergence_detected(self):
         x, y = make_blobs(seed=1)
         net = blob_net(seed=2)
-        with pytest.raises(TrainingError):
-            SGDTrainer(SGDConfig(epochs=5, learning_rate=1e4, seed=3)).train(net, x, y)
+        # A learning rate this large overflows the forward pass on purpose
+        # (numpy warns of the overflow and of the NaNs that follow).
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(TrainingError):
+                SGDTrainer(SGDConfig(epochs=5, learning_rate=1e4, seed=3)).train(net, x, y)
 
     def test_masked_training_keeps_pruned_weights_zero(self):
         x, y = make_blobs(seed=4)

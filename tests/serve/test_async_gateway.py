@@ -303,11 +303,11 @@ class TestCancellation:
                 # An abandoned in-service request frees its slot when the
                 # replica's (discarded) answer settles, which can land after
                 # gather returns — so prove capacity by *using* it: this
-                # submit parks on the gate until the slot comes back.
+                # submit parks until the slot comes back.
                 y = await gateway.submit("m", x)
                 assert y.shape == (_OUTPUT_DIM,)
                 # Every concurrency slot came back.
-                assert gateway._gates["m"].free == 1
+                assert gateway._model("m").free == 1
             await gateway.close()
 
         asyncio.run(main())

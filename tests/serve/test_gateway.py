@@ -6,6 +6,8 @@ Concurrency here is synchronised with ``threading.Event`` gates and the
 """
 
 import json
+import logging
+import sys
 import threading
 
 import numpy as np
@@ -462,6 +464,197 @@ class TestAdmissionControl:
             "completed", "completed", "completed", "rejected", "rejected",
         ]
         assert all(s["end_s"] >= s["start_s"] for s in requests)
+
+    def test_free_slot_dispatches_inline_without_gateway_threads(
+        self, archive_blob
+    ):
+        networks = []
+
+        def factory():
+            network = BlockingNetwork()
+            networks.append(network)
+            return network
+
+        gateway = Gateway()
+        gateway.add_model(
+            "m", archive_blob, replicas=1, network_factory=factory,
+            max_concurrency=1, batch_size=1,
+        )
+        x = np.ones(_INPUT_DIM, dtype=np.float32)
+        with gateway:
+            assert not [
+                t for t in threading.enumerate()
+                if t.name.startswith("repro-gateway")
+            ]
+            first = gateway.submit("m", x)
+            # Handed to the replica before submit() returned.
+            assert gateway.queue_depth("m") == 0
+            assert gateway.stats().models["m"].replicas[0].dispatched == 1
+            second = gateway.submit("m", x)
+            assert gateway.queue_depth("m") == 1
+            networks[0].release.set()
+            for future in (first, second):
+                assert future.result(timeout=30).shape == (4,)
+        assert gateway.queue_depth("m") == 0
+        gateway.close()
+
+    def test_cancelled_queued_future_is_never_dispatched(
+        self, archive_blob, caplog
+    ):
+        """Regression: ``Future.cancel()`` on a queued request returned
+        True, yet the request was still dispatched, counted ``completed``,
+        and its completion raised a logged ``InvalidStateError``."""
+        networks = []
+
+        def factory():
+            network = BlockingNetwork()
+            networks.append(network)
+            return network
+
+        gateway = Gateway()
+        gateway.add_model(
+            "m", archive_blob, replicas=1, network_factory=factory,
+            max_queue_depth=4, max_concurrency=1, batch_size=1,
+        )
+        x = np.ones(_INPUT_DIM, dtype=np.float32)
+        with caplog.at_level(logging.ERROR):
+            with gateway:
+                first = gateway.submit("m", x)
+                assert networks[0].entered.wait(timeout=10)
+                queued = gateway.submit("m", x)
+                assert queued.cancel()
+                networks[0].release.set()
+                assert first.result(timeout=30).shape == (4,)
+                # FIFO slots: this request is served after the cancelled one
+                # has been skipped.
+                assert gateway.infer("m", x, timeout=30).shape == (4,)
+        stats = gateway.stats().models["m"]
+        assert stats.submitted == 3
+        assert stats.completed == 2
+        assert stats.cancelled == 1
+        assert stats.failures == 0
+        assert [r.dispatched for r in stats.replicas] == [2]
+        assert stats.replicas[0].server.requests == 2
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        gateway.close()
+
+    def test_cancel_plus_dispatch_error_keeps_model_serving(
+        self, archive_blob, wait_until
+    ):
+        """Regression: a cancelled future whose dispatch then failed killed
+        the model's dispatcher thread (``set_exception`` on a cancelled
+        future), stranding every later request and ``stop()``."""
+
+        class ExplodingPolicy(RoundRobinPolicy):
+            name = "exploding"
+
+            def choose(self, replicas, key=None):
+                if key == "boom":
+                    raise RuntimeError("no shard for you")
+                return super().choose(replicas, key)
+
+        networks = []
+
+        def factory():
+            network = BlockingNetwork()
+            networks.append(network)
+            return network
+
+        gateway = Gateway()
+        gateway.add_model(
+            "m", archive_blob, replicas=1, network_factory=factory,
+            policy=ExplodingPolicy(), max_queue_depth=8, max_concurrency=1,
+            batch_size=1,
+        )
+        x = np.ones(_INPUT_DIM, dtype=np.float32)
+        gateway.start()
+        first = gateway.submit("m", x)
+        assert networks[0].entered.wait(timeout=10)
+        doomed = gateway.submit("m", x, key="boom")
+        assert doomed.cancel()
+        failing = gateway.submit("m", x, key="boom")
+        later = [gateway.submit("m", x) for _ in range(3)]
+        networks[0].release.set()
+        assert first.result(timeout=30).shape == (4,)
+        with pytest.raises(RuntimeError, match="no shard"):
+            failing.result(timeout=30)
+        for future in later:
+            assert future.result(timeout=30).shape == (4,)
+        # The model still serves, and stop() resolves everything accepted.
+        networks[0].release.clear()
+        networks[0].entered.clear()
+        tail = [gateway.submit("m", x) for _ in range(3)]
+        assert networks[0].entered.wait(timeout=10)
+        stopper = threading.Thread(target=gateway.stop)
+        stopper.start()
+        wait_until(
+            lambda: not gateway._models["m"].accepting,
+            message="admission to close",
+        )
+        assert stopper.is_alive(), "stop() returned with requests still queued"
+        networks[0].release.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        for future in tail:
+            assert future.result(timeout=0).shape == (4,)
+        stats = gateway.stats().models["m"]
+        assert stats.submitted == 9
+        assert stats.completed == 7
+        assert stats.failures == 1
+        assert stats.cancelled == 1
+        assert stats.queue_depth == 0
+        gateway.close()
+
+    def test_concurrent_submit_and_cancel_keep_the_books(self, archive_blob):
+        """Stress: more client threads than cores submit and cancel against
+        two slots with a shortened switch interval.  Every admitted request
+        ends exactly once — completed, or cancelled when its cancel won —
+        and every slot comes back."""
+        gateway = Gateway()
+        gateway.add_model(
+            "m", archive_blob, replicas=2, max_queue_depth=512,
+            max_concurrency=2, batch_size=4,
+        )
+        x = np.ones(_INPUT_DIM, dtype=np.float32)
+        clients, per_client = 8, 40
+        cancels = []
+        errors = []
+
+        def client(index):
+            try:
+                futures = [gateway.submit("m", x) for _ in range(per_client)]
+                won = sum(f.cancel() for f in futures[index % 3::3])
+                for future in futures:
+                    if not future.cancelled():
+                        assert future.result(timeout=30).shape == (_OUTPUT_DIM,)
+                cancels.append(won)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with gateway:
+                threads = [
+                    threading.Thread(target=client, args=(i,)) for i in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        stats = gateway.stats().models["m"]
+        assert stats.submitted == clients * per_client
+        assert stats.cancelled == sum(cancels)
+        assert stats.completed + stats.cancelled == stats.submitted
+        assert stats.failures == 0
+        assert sum(r.dispatched for r in stats.replicas) == stats.completed
+        assert stats.queue_depth == 0
+        assert gateway._model("m").free == 2
+        gateway.close()
 
     def test_admission_reopens_after_drain(self, archive_blob):
         gateway = Gateway()

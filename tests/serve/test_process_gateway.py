@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Network
 from repro.serve.gateway import Gateway
@@ -262,3 +266,89 @@ class TestCrashContainment:
         finally:
             server.stop()
             store.release(shared)
+
+
+#: 256 requests of 16 KB against one process replica whose 8 KB response
+#: rows fill the response pipe while the request pipe is still filling.
+_PIPE_FULL_SCRIPT = textwrap.dedent(
+    """
+    import asyncio
+    import sys
+
+    import numpy as np
+
+    from repro.cli import synthetic_sparse_layers
+    from repro.core.encoder import DeepSZEncoder
+    from repro.serve import AsyncGateway, Gateway
+    from repro.store import archive_bytes
+
+    REQUESTS = 256
+
+
+    def main(front_door):
+        layers = synthetic_sparse_layers(
+            "fc6=2048x4096:0.02,fc7=2048x2048:0.02", seed=0
+        )
+        model = DeepSZEncoder().encode("pipe-full", layers, {n: 1e-3 for n in layers})
+        blob = archive_bytes(model)
+        x = np.ones(4096, dtype=np.float32)
+        options = dict(
+            replicas=1, replica_backend="process", batch_size=16,
+            max_concurrency=32, max_queue_depth=REQUESTS,
+        )
+        if front_door == "sync":
+            gateway = Gateway()
+            gateway.add_model("m", blob, **options)
+            with gateway:
+                futures = [gateway.submit("m", x) for _ in range(REQUESTS)]
+                rows = [future.result(timeout=60) for future in futures]
+            gateway.close()
+        else:
+            async def run():
+                gateway = AsyncGateway()
+                gateway.add_model("m", blob, **options)
+                async with gateway:
+                    out = await asyncio.gather(
+                        *[gateway.submit("m", x) for _ in range(REQUESTS)]
+                    )
+                await gateway.close()
+                return out
+
+            rows = asyncio.run(run())
+        assert len(rows) == REQUESTS
+        assert all(row.shape == (2048,) for row in rows)
+        print("served", len(rows))
+
+
+    if __name__ == "__main__":
+        main(sys.argv[1])
+    """
+)
+
+
+class TestPipeBackpressure:
+    @pytest.mark.parametrize("front_door", ["sync", "async"])
+    def test_full_response_pipe_does_not_wedge_dispatch(self, tmp_path, front_door):
+        """Regression: a thread that sends requests while it is the only
+        reader of the replica's responses (the async loop thread) used to
+        block in the request-pipe send while the worker blocked writing
+        responses.  A subprocess with a hard timeout turns a wedge into a
+        failure instead of a hung suite."""
+        before = _repro_segments()
+        script = tmp_path / "pipe_full.py"
+        script.write_text(_PIPE_FULL_SCRIPT)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        try:
+            done = subprocess.run(
+                [sys.executable, str(script), front_door],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{front_door} front door wedged on a full pipe")
+        assert done.returncode == 0, done.stderr
+        assert "served 256" in done.stdout
+        assert _repro_segments() == before

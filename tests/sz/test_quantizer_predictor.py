@@ -85,8 +85,11 @@ class TestLinearQuantizer:
 
     def test_overflow_guard(self):
         q = LinearQuantizer(1e-300)
-        with pytest.raises(CompressionError):
-            q.quantize(np.array([1e30]))
+        # The guard fires on the overflowed codes, so numpy's overflow
+        # warning is part of the contract.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(CompressionError):
+                q.quantize(np.array([1e30]))
 
     def test_mask_population_mismatch_raises(self):
         q = LinearQuantizer(1e-3)
