@@ -7,8 +7,10 @@ reconstructed canonically on both sides, which keeps the header small and the
 decoder deterministic.
 
 Encoding is fully vectorised (the per-symbol bit expansion happens inside
-NumPy); decoding walks the bitstream with a compact two-level lookup table so
-that the common short codes are resolved in a single table probe.
+NumPy).  Decoding works from the packed payload bytes: one big-endian word
+per byte yields the bit window at every offset, one probe of a combined
+``slot << 8 | length`` entry table decodes every short code, and the chain
+of visited offsets is extracted with ``np.intp`` gathers.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.bitstream import pack_bits, unpack_bits
+from repro.utils.bitstream import pack_bits
 from repro.utils.bytesio import read_named_sections, write_named_sections
 from repro.utils.errors import CompressionError, DecompressionError, ValidationError
 
 __all__ = ["HuffmanCodec", "HuffmanTable"]
 
-_FAST_BITS = 12  # size of the first-level decode table (4096 entries)
+_FAST_BITS = 12  # bits probed per offset (4096-entry table)
+_NO_CODE = -1  # entry-table marker: no code of at most _FAST_BITS bits here
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,20 @@ class HuffmanTable:
         """Canonical code values (uint64), aligned with :attr:`symbols`."""
         if self.symbols.size == 0:
             return np.zeros(0, dtype=np.uint64)
-        codes = np.zeros(self.symbols.size, dtype=np.uint64)
+        lengths = self.lengths.astype(np.int64)
+        codes = np.empty(self.symbols.size, dtype=np.uint64)
+        # One step per run of equal length: the run takes consecutive codes,
+        # and the next run starts one past its end, shifted to its length.
+        bounds = np.flatnonzero(np.diff(lengths)) + 1
+        starts = [0, *bounds.tolist()]
+        ends = [*bounds.tolist(), self.symbols.size]
         code = 0
-        prev_len = int(self.lengths[0])
-        for i in range(self.symbols.size):
-            length = int(self.lengths[i])
+        prev_len = int(lengths[0])
+        for start, end in zip(starts, ends):
+            length = int(lengths[start])
             code <<= length - prev_len
-            codes[i] = code
-            code += 1
+            codes[start:end] = np.uint64(code) + np.arange(end - start, dtype=np.uint64)
+            code += end - start
             prev_len = length
         return codes
 
@@ -85,6 +94,59 @@ def _code_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if np.any(lengths > 64):
         raise CompressionError("Huffman code length exceeds 64 bits")
     return lengths.astype(np.uint8)
+
+
+def _check_canonical(lengths: np.ndarray) -> None:
+    """Reject a code-length table no canonical Huffman encoder can produce.
+
+    Lengths must lie in ``[1, 64]``, be sorted (canonical order) and satisfy
+    the Kraft inequality, so every canonical code fits in its length.
+    """
+    if lengths.size == 0 or lengths[0] < 1 or lengths[-1] > 64:
+        raise DecompressionError("corrupt Huffman table")
+    if lengths.size > 1 and np.any(lengths[1:] < lengths[:-1]):
+        raise DecompressionError("corrupt Huffman table")
+    per_length = np.bincount(lengths, minlength=65).tolist()
+    if sum(n << (64 - length) for length, n in enumerate(per_length)) > 1 << 64:
+        raise DecompressionError("corrupt Huffman table")
+
+
+def _resolve_long_codes(
+    entry_at: np.ndarray,
+    words: np.ndarray,
+    buf: np.ndarray,
+    table: HuffmanTable,
+    fast_bits: int,
+) -> None:
+    """Fill in ``entry_at`` where the code is longer than ``fast_bits``.
+
+    Canonical codes of one length occupy a contiguous value range
+    ``[first, first + n)``, and the ``l``-bit prefix of any longer canonical
+    code compares strictly greater, so one range test per length is exact.
+    The 64 bits from offset ``8*i + j`` are ``word[i] << j`` plus the top
+    ``j`` bits of byte ``i + 8``: codes up to the 64-bit limit of
+    :func:`_code_lengths` resolve from one word and one byte.
+    """
+    miss = np.flatnonzero(entry_at == _NO_CODE)
+    if miss.size == 0:
+        return
+    byte = miss >> 3
+    shift = (miss & 7).astype(np.uint64)
+    value64 = words.view(np.uint64)[byte] << shift
+    value64 |= buf[byte + 8].astype(np.uint64) >> (np.uint64(8) - shift)
+    lengths = table.lengths
+    codes = table.codes()
+    unresolved = np.ones(miss.size, dtype=bool)
+    for length in np.unique(lengths[lengths > fast_bits]).tolist():
+        first_slot = int(np.searchsorted(lengths, length, side="left"))
+        n = int(np.searchsorted(lengths, length, side="right")) - first_slot
+        first = codes[first_slot]
+        value = value64 >> np.uint64(64 - length)
+        hit = unresolved & (value >= first) & (value - first < np.uint64(n))
+        if np.any(hit):
+            slot = (value[hit] - first).astype(np.int64) + first_slot
+            entry_at[miss[hit]] = (slot << 8) | length
+            unresolved &= ~hit
 
 
 class HuffmanCodec:
@@ -160,149 +222,123 @@ class HuffmanCodec:
         if symbols.size != lengths.size or symbols.size == 0:
             raise DecompressionError("corrupt Huffman table")
         table = HuffmanTable(symbols=symbols, lengths=lengths)
-        bits = unpack_bits(sections["payload"], nbits)
-        return self._decode_bits(bits, table, count)
+        return self._decode_packed(sections["payload"], nbits, table, count)
 
-    #: Symbols decoded per anchor in the lockstep phase of :meth:`_decode_bits`.
+    #: Symbols decoded per anchor in the lockstep phase of :meth:`_decode_packed`.
     _CHAIN_STRIDE = 32
 
     @staticmethod
     def _decode_bits(bits: np.ndarray, table: HuffmanTable, count: int) -> np.ndarray:
-        """Batched NumPy table-probe decode.
+        """Decode an unpacked bit array (one bool per bit) with the packed kernel."""
+        bits = np.asarray(bits)
+        return HuffmanCodec._decode_packed(pack_bits(bits), int(bits.size), table, count)
+
+    @staticmethod
+    def _decode_packed(
+        payload: bytes, nbits: int, table: HuffmanTable, count: int
+    ) -> np.ndarray:
+        """Batched NumPy table-probe decode of the first ``nbits`` bits of ``payload``.
 
         The decode problem is a chain walk — ``pos[i+1] = pos[i] +
-        code_length_at(pos[i])`` — whose per-symbol Python loop (plus the
-        ``.tolist()`` materialisation of the whole bitstream) used to dominate
-        decompression time.  The batched kernel instead:
+        code_length_at(pos[i])`` — so the kernel decodes a code at *every*
+        bit offset and then extracts the chain of offsets actually visited:
 
-        1. computes the value of the next ``fast_bits`` bits at *every* bit
-           offset with ``fast_bits`` shifted vector adds,
-        2. probes the fast table for all offsets in one gather, decoding every
-           symbol whose fast-table probe hits in one vectorised round,
-        3. resolves the rare offsets whose code is longer than ``fast_bits``
-           with one vectorised canonical-range test per extra bit of length
-           (the only remaining loop is over code *lengths*, not symbols),
-        4. extracts the chain of actually-visited offsets from the jump table
-           ``jump[p] = p + length[p]``: five doublings build a 32-step jump
-           table, a scalar walk places one anchor per 32 symbols, and the 32
-           symbols after every anchor are gathered in vectorised lockstep,
-        5. gathers the output symbols at the visited offsets.
+        1. one big-endian int64 word per payload byte gives the next
+           ``fast_bits`` bits at all eight offsets inside that byte with one
+           shift and one mask on an ``(nbytes, 8)`` view;
+        2. one gather into the entry table (``slot << 8 | length``, built
+           with :func:`numpy.repeat` from the canonical code ranges) decodes
+           every code of at most ``fast_bits`` bits;
+        3. offsets whose probe missed read a 64-bit window (their word plus
+           the following byte) and are resolved with one canonical-range
+           test per code *length*;
+        4. the jump table ``jump[p] = p + length[p]`` yields the chain: five
+           doublings build a 32-step jump table, a scalar walk places one
+           anchor per 32 symbols, and the 32 symbols after every anchor are
+           gathered in vectorised lockstep;
+        5. the output symbols are gathered at the visited offsets.
 
-        See DESIGN.md ("Vectorised Huffman decode") for the full derivation.
+        Positions are ``np.intp``: NumPy casts any other index dtype to
+        ``intp`` before a gather.  See DESIGN.md ("Vectorised Huffman
+        decode") for the derivation.
         """
-        codes = table.codes()
-        lengths = table.lengths.astype(np.int64)
         symbols = table.symbols
-        max_len = table.max_length
-
+        lengths = table.lengths.astype(np.int64)
+        if nbits < 0 or nbits > 8 * len(payload):
+            raise DecompressionError(
+                f"bitstream truncated: need {nbits} bits, have {8 * len(payload)}"
+            )
+        _check_canonical(lengths)
         if symbols.size == 1:
             # Degenerate single-symbol alphabet: every element is that symbol.
             return np.full(count, symbols[0], dtype=np.int64)
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-
-        nbits = int(bits.size)
         if nbits == 0:
             raise DecompressionError("Huffman bitstream exhausted")
 
-        # First level: fast table indexed by the next `fast_bits` bits,
-        # mapping to the canonical table slot and the code length.
+        max_len = int(lengths[-1])
         fast_bits = min(_FAST_BITS, max_len)
-        fast_slot = np.full(1 << fast_bits, -1, dtype=np.int32)
-        fast_length = np.zeros(1 << fast_bits, dtype=np.int32)
-        for i in range(symbols.size):
-            length = int(lengths[i])
-            if length <= fast_bits:
-                code = int(codes[i])
-                start = code << (fast_bits - length)
-                span = 1 << (fast_bits - length)
-                fast_slot[start : start + span] = i
-                fast_length[start : start + span] = length
 
-        # Zero padding past the stream end; codes speculatively matched inside
-        # the padding are rejected by the final overrun check.
-        padded = np.zeros(nbits + max(fast_bits, max_len), dtype=np.int32)
-        padded[:nbits] = bits
+        # Entry table over the next `fast_bits` bits.  Canonical codes of at
+        # most `fast_bits` bits fill its low end as consecutive ranges in
+        # slot order; the rest (long-code prefixes, unused space) is _NO_CODE.
+        # int32 entries halve the per-bit memory; wide alphabets need int64.
+        entry_dtype = np.int32 if symbols.size < 1 << 23 else np.int64
+        n_short = int(np.searchsorted(lengths, fast_bits, side="right"))
+        spans = np.left_shift(1, fast_bits - lengths[:n_short])
+        entries = np.full(1 << fast_bits, _NO_CODE, dtype=entry_dtype)
+        short = (np.arange(n_short, dtype=np.int64) << 8) | lengths[:n_short]
+        entries[: int(spans.sum())] = np.repeat(short, spans)
 
-        # window[p] = integer value of the fast_bits bits starting at p.
-        window = np.zeros(nbits, dtype=np.int32)
-        for k in range(fast_bits):
-            window <<= 1
-            window += padded[k : k + nbits]
+        # word[i] = the 8 payload bytes from byte i on, big-endian; bits past
+        # `nbits` read as zero.  Codes matched inside that zero padding are
+        # rejected by the final overrun check.
+        nbytes = (nbits + 7) >> 3
+        nwords = (nbytes + 7) >> 3
+        buf = np.zeros(8 * nwords + 8, dtype=np.uint8)
+        buf[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
+        if nbits & 7:
+            buf[nbytes - 1] &= (0xFF << (8 - (nbits & 7))) & 0xFF
+        words = np.empty((nwords, 8), dtype=np.int64)
+        for k in range(8):
+            words[:, k] = buf[k : k + 8 * nwords].view(">i8")
+        words = words.reshape(-1)[:nbytes]
 
-        slot_at = fast_slot[window]
-        len_at = fast_length[window]
-
-        if max_len > fast_bits:
-            # Second level: canonical-range resolution for long codes, applied
-            # only at offsets whose fast probe missed.  Canonical codes of one
-            # length occupy a contiguous value range [first, first + count),
-            # and the l-bit prefix of any longer canonical code compares
-            # strictly greater, so the range test is exact.
-            miss = np.nonzero(len_at == 0)[0]
-            if miss.size:
-                first_code = np.zeros(max_len + 1, dtype=np.int64)
-                code_count = np.zeros(max_len + 1, dtype=np.int64)
-                slot_base = np.zeros(max_len + 1, dtype=np.int64)
-                for i in range(symbols.size):
-                    length = int(lengths[i])
-                    if length > fast_bits:
-                        if code_count[length] == 0:
-                            first_code[length] = int(codes[i])
-                            slot_base[length] = i
-                        code_count[length] += 1
-
-                value = window[miss].astype(np.int64)
-                unresolved = np.ones(miss.size, dtype=bool)
-                for length in range(fast_bits + 1, max_len + 1):
-                    value <<= 1
-                    value += padded[miss + (length - 1)]
-                    if code_count[length] == 0:
-                        continue
-                    hit = (
-                        unresolved
-                        & (value >= first_code[length])
-                        & (value < first_code[length] + code_count[length])
-                    )
-                    if np.any(hit):
-                        slot_at[miss[hit]] = slot_base[length] + (
-                            value[hit] - first_code[length]
-                        )
-                        len_at[miss[hit]] = length
-                        unresolved &= ~hit
+        # window at bit offset 8*i + j = bits j .. j+fast_bits-1 of word[i].
+        shifts = np.arange(64 - fast_bits, 56 - fast_bits, -1, dtype=np.int64)
+        window = words[:, None] >> shifts
+        window &= (1 << fast_bits) - 1
+        entry_at = entries[window.reshape(-1)[:nbits]]
         del window
 
-        # Jump table: jump[p] = p + len_at[p]; offsets carrying no valid code
-        # jump straight to the absorbing `nbits` sentinel.  int32 positions
-        # halve gather traffic; fall back to int64 near the int32 limit.
-        pos_dtype = np.int32 if nbits < 2**31 - 128 else np.int64
-        jump = np.empty(nbits + 1, dtype=pos_dtype)
-        jump[nbits] = nbits
-        body = np.arange(nbits, dtype=pos_dtype)
-        body += len_at
-        np.minimum(body, nbits, out=body)
-        jump[:nbits] = np.where(len_at > 0, body, body.dtype.type(nbits))
-        del body
+        if max_len > fast_bits:
+            _resolve_long_codes(entry_at, words, buf, table, fast_bits)
+        del words, buf
+
+        # Jump table: jump[p] = p + length.  A _NO_CODE offset (length field
+        # 0xFF) may jump anywhere, since visiting it raises below.  Offsets
+        # past the stream end are absorbing: the longest jump from inside
+        # the stream lands in the 0x100-entry tail, where jump[p] = p.
+        jump = np.arange(nbits + 0x100, dtype=np.intp)
+        jump[:nbits] += entry_at & 0xFF
 
         # Chain extraction: five doublings build a 32-step jump table, a
         # scalar walk drops one anchor every 32 symbols, and the lockstep
         # phase advances all anchors together one symbol per round.
         stride = HuffmanCodec._CHAIN_STRIDE
         n_anchor = (count + stride - 1) // stride
-        anchors = np.zeros(n_anchor, dtype=pos_dtype)
+        anchors = np.zeros(n_anchor, dtype=np.intp)
         if n_anchor > 1:
-            doublings = max(1, (stride - 1).bit_length())
-            # Each doubling squares the step count, so anchors land exactly
-            # one lane row apart only when the stride is a power of two.
-            assert (1 << doublings) == stride, "_CHAIN_STRIDE must be a power of two"
             hop = jump
-            for _ in range(doublings):
+            for _ in range(stride.bit_length() - 1):
                 hop = hop[hop]
-            a = pos_dtype(0)
+            a = 0
             for i in range(1, n_anchor):
                 a = hop[a]
                 anchors[i] = a
-        lanes = np.empty((n_anchor, stride), dtype=pos_dtype)
+            del hop
+        lanes = np.empty((n_anchor, stride), dtype=np.intp)
         p = anchors
         for r in range(stride):
             lanes[:, r] = p
@@ -312,17 +348,17 @@ class HuffmanCodec:
         last = int(positions[-1])
         if last >= nbits:
             # The chain ran off the end: either the stream is short or it hit
-            # an offset with no valid code and stuck at the sentinel.
+            # an offset with no valid code.
             reached = positions[positions < nbits]
-            if reached.size and np.any(slot_at[reached] < 0):
+            if reached.size and np.any(entry_at[reached] < 0):
                 raise DecompressionError("invalid Huffman code in stream")
             raise DecompressionError("Huffman bitstream exhausted")
-        slots = slot_at[positions]
-        if np.any(slots < 0):
+        found = entry_at[positions]
+        if np.any(found < 0):
             raise DecompressionError("invalid Huffman code in stream")
-        if last + int(len_at[last]) > nbits:
+        if last + int(found[-1] & 0xFF) > nbits:
             raise DecompressionError("Huffman bitstream overrun")
-        return symbols[slots]
+        return symbols[found >> 8]
 
     @staticmethod
     def _decode_bits_reference(

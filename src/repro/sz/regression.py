@@ -208,31 +208,31 @@ def adaptive_decode(prediction: AdaptivePrediction) -> np.ndarray:
 
     padded = np.zeros(nblocks * bs, dtype=np.int64)
     padded[:n] = residuals
-    if n and n < nblocks * bs:
-        # Reproduce the encoder's tail padding (repeat of the last code) so the
-        # final block's prefix sums see the same values the encoder used.
-        padded[n:] = 0
-    blocks = padded.reshape(nblocks, bs)
+    out = padded.reshape(nblocks, bs)  # residuals, decoded in place
 
-    regression_mask = modes == MODE_REGRESSION
-    preds = None
-    if regression_mask.any():
-        preds = _regression_predict(
-            np.asarray(prediction.coefficients, dtype=np.float32), bs
-        )
-    out = np.empty_like(blocks)
-    # Blocks decode in order: Lorenzo blocks chain off the last code of the
-    # previous block; regression and direct blocks are absolute.
-    prev_last = np.int64(0)
-    reg_idx = 0
-    for b in range(nblocks):
-        mode = int(modes[b])
-        if mode == MODE_LORENZO:
-            out[b] = np.cumsum(blocks[b]) + prev_last
-        elif mode == MODE_REGRESSION:
-            out[b] = blocks[b] + preds[reg_idx]
-            reg_idx += 1
-        else:  # MODE_DIRECT
-            out[b] = blocks[b]
-        prev_last = out[b, -1]
-    return out.reshape(-1)[:n].copy()
+    # Lorenzo blocks continue a running sum from the last code of the block
+    # before; regression and direct blocks are absolute.  Put the absolute
+    # blocks in difference form, so one cumsum over the whole stream decodes
+    # every block, then restart the sum at each absolute block.
+    absolute = np.flatnonzero(modes != MODE_LORENZO)
+    if absolute.size:
+        regression_mask = modes == MODE_REGRESSION
+        if regression_mask.any():
+            out[regression_mask] += _regression_predict(
+                np.asarray(prediction.coefficients, dtype=np.float32), bs
+            )
+        rows = out[absolute]
+        rows[:, 1:] = np.diff(rows, axis=1)
+        out[absolute] = rows
+    np.cumsum(padded, out=padded)
+    if absolute.size:
+        # before[b] = the running sum over all blocks before b; every block
+        # from an absolute block on drops the sum before its nearest one.
+        before = np.zeros(nblocks, dtype=np.int64)
+        before[1:] = out[:-1, -1]
+        anchor = np.zeros(nblocks, dtype=np.int64)
+        anchor[absolute] = absolute
+        np.maximum.accumulate(anchor, out=anchor)
+        first = int(absolute[0])
+        out[first:] -= before[anchor[first:], None]
+    return padded[:n]

@@ -216,3 +216,35 @@ class TestTruncationAndCorruption:
     def test_garbage_bytes_raise(self):
         with pytest.raises(DecompressionError):
             SZCompressor().decompress(b"\x00\x01\x02garbage")
+
+
+class TestDecodeLeavesNothingRunning:
+    def test_no_process_or_thread_outlives_decode(self, payload_data):
+        import multiprocessing
+        import threading
+
+        from repro.core.encoder import DeepSZEncoder
+        from repro.pruning import encode_sparse, prune_weights
+        from repro.serve.runtime import ModelRuntime
+        from repro.store import archive_bytes
+
+        threads_before = threading.active_count()
+        payload = SZCompressor(SZConfig(error_bound=1e-3, chunk_size=1024)).compress(
+            payload_data
+        ).payload
+        assert read_named_sections(payload)[0]["magic"] == "repro-sz-v2"
+        SZCompressor().decompress(payload)
+
+        rng = np.random.default_rng(3)
+        layers = {}
+        for name, shape in [("fc6", (48, 80)), ("fc7", (16, 48))]:
+            pruned, _ = prune_weights(rng.standard_normal(shape).astype(np.float32), 0.2)
+            layers[name] = encode_sparse(pruned)
+        model = DeepSZEncoder(chunk_size=256).encode(
+            "leak-check", layers, {name: 1e-3 for name in layers}
+        )
+        with ModelRuntime(archive_bytes(model)) as runtime:
+            assert set(runtime.decode_all()) == set(layers)
+
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before

@@ -164,3 +164,142 @@ class TestVectorizedDecodeKernel:
         meta["nbits"] = len(sections["payload"]) * 8
         with pytest.raises(DecompressionError):
             codec.decode(write_named_sections(sections, meta=meta))
+
+
+def _table_and_bits(codec, data):
+    from repro.utils.bitstream import unpack_bits
+    from repro.utils.bytesio import read_named_sections
+
+    meta, sections = read_named_sections(codec.encode(data))
+    table = HuffmanTable(
+        symbols=np.frombuffer(sections["table_symbols"], dtype="<i8").astype(np.int64),
+        lengths=np.frombuffer(sections["table_lengths"], dtype=np.uint8),
+    )
+    return table, unpack_bits(sections["payload"], int(meta["nbits"]))
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except DecompressionError:
+        return DecompressionError
+
+
+def _assert_same_outcome(bits, table, count, nbits=None):
+    """Kernel and reference agree on the first ``nbits`` bits of ``bits``.
+
+    The packed kernel gets every byte of ``bits``, so bits after ``nbits``
+    (a truncated header over an intact payload) must not change its result.
+    """
+    from repro.utils.bitstream import pack_bits
+
+    nbits = bits.size if nbits is None else nbits
+    stream = bits[:nbits]
+    packed = _outcome(HuffmanCodec._decode_packed, pack_bits(bits), nbits, table, count)
+    wrapped = _outcome(HuffmanCodec._decode_bits, stream, table, count)
+    slow = _outcome(HuffmanCodec._decode_bits_reference, stream, table, count)
+    for fast in (packed, wrapped):
+        if fast is DecompressionError or slow is DecompressionError:
+            assert fast is slow
+        else:
+            np.testing.assert_array_equal(fast, slow)
+    return packed
+
+
+def _encode_with_table(table, slots):
+    """Bits of the canonical codes of ``table`` at ``slots``."""
+    codes, lengths = table.codes(), table.lengths
+    text = "".join(format(int(codes[s]), f"0{int(lengths[s])}b") for s in slots)
+    return np.frombuffer(text.encode(), dtype=np.uint8) == ord("1")
+
+
+def _fibonacci_stream(rng, nsym):
+    """Symbols with Fibonacci frequencies: the deepest Huffman tree, whose
+    longest codes are ``nsym - 1`` bits."""
+    fib = [1, 1]
+    while len(fib) < nsym:
+        fib.append(fib[-1] + fib[-2])
+    data = np.repeat(rng.permutation(2 * nsym)[:nsym] - nsym, fib).astype(np.int64)
+    rng.shuffle(data)
+    return data
+
+
+class TestCorruptionDifferential:
+    """On corrupt input the kernel and the scalar reference agree: the same
+    array, or both raise DecompressionError."""
+
+    @staticmethod
+    def _stream(rng):
+        n = int(rng.integers(1, 400))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            data = rng.integers(-8, 8, size=n)
+        elif kind == 1:
+            data = np.rint(rng.standard_normal(n) * 3)
+        elif kind == 2:
+            data = _fibonacci_stream(rng, 15)
+        else:
+            data = rng.integers(0, 2, size=n)
+        return data.astype(np.int64)
+
+    def test_seeded_corruptions_agree(self, codec):
+        outcomes = {"error": 0, "array": 0, "long codes": 0}
+        for seed in range(420):
+            rng = np.random.default_rng(seed)
+            data = self._stream(rng)
+            table, bits = _table_and_bits(codec, data)
+            outcomes["long codes"] += table.max_length > 12
+            count, nbits = data.size, None
+            corruption = seed % 3
+            if corruption == 0:
+                bits = bits.copy()
+                nflips = min(bits.size, int(rng.integers(1, 4)))
+                flips = rng.choice(bits.size, size=nflips, replace=False)
+                bits[flips] ^= True
+            elif corruption == 1:
+                nbits = max(0, bits.size - int(rng.integers(1, 21)))
+            else:
+                count += int(rng.integers(1, 10))
+            got = _assert_same_outcome(bits, table, count, nbits)
+            outcomes["error" if got is DecompressionError else "array"] += 1
+        # Both outcomes occur, so neither side is trivially always failing.
+        assert outcomes["error"] > 50 and outcomes["array"] > 50
+        assert outcomes["long codes"] > 10
+
+    def test_codes_longer_than_the_probe(self, codec):
+        rng = np.random.default_rng(5)
+        data = _fibonacci_stream(rng, 17)
+        table, bits = _table_and_bits(codec, data)
+        assert table.max_length > 12
+        np.testing.assert_array_equal(_assert_same_outcome(bits, table, data.size), data)
+        for seed in range(40):
+            flipped = bits.copy()
+            flipped[np.random.default_rng(seed).integers(0, bits.size, 2)] ^= True
+            _assert_same_outcome(flipped, table, data.size)
+
+    def test_codes_wider_than_one_word(self):
+        # Lengths 1, 2, ..., 64, 64: a complete code whose longest codewords
+        # exceed the 57 bits one int64 word holds at every in-byte offset.
+        lengths = np.concatenate([np.arange(1, 65), [64]]).astype(np.uint8)
+        table = HuffmanTable(symbols=np.arange(65, dtype=np.int64) * 3 - 7, lengths=lengths)
+        rng = np.random.default_rng(9)
+        slots = np.concatenate([rng.integers(0, 65, 300), [64, 63, 58, 57, 0, 64]])
+        bits = _encode_with_table(table, slots)
+        out = _assert_same_outcome(bits, table, slots.size)
+        np.testing.assert_array_equal(out, table.symbols[slots])
+        for cut in (1, 7, 40):
+            _assert_same_outcome(bits, table, slots.size, bits.size - cut)
+        _assert_same_outcome(bits, table, slots.size + 1)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[2, 1], [1, 1, 1], [0, 1], [1, 65]],
+        ids=["unsorted", "over-subscribed", "zero-length", "too-long"],
+    )
+    def test_impossible_table_rejected(self, lengths):
+        table = HuffmanTable(
+            symbols=np.arange(len(lengths), dtype=np.int64),
+            lengths=np.asarray(lengths, dtype=np.uint8),
+        )
+        with pytest.raises(DecompressionError):
+            HuffmanCodec._decode_bits(np.zeros(16, dtype=bool), table, 4)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.sz import SZCompressor, SZConfig, compress
 from repro.sz.regression import (
+    MODE_DIRECT,
+    MODE_LORENZO,
+    MODE_REGRESSION,
     AdaptivePrediction,
+    _regression_predict,
     adaptive_decode,
     adaptive_encode,
 )
@@ -110,6 +114,84 @@ class TestAdaptiveEncodeDecode:
         )
         with pytest.raises(DecompressionError):
             adaptive_decode(broken)
+
+
+def _block_loop_decode(prediction: AdaptivePrediction) -> np.ndarray:
+    """Oracle: decode one block after another, carrying the last code."""
+    n, bs = prediction.count, prediction.block_size
+    nblocks = prediction.modes.size
+    blocks = np.zeros(nblocks * bs, dtype=np.int64)
+    blocks[:n] = prediction.residuals
+    blocks = blocks.reshape(nblocks, bs)
+    preds = _regression_predict(prediction.coefficients, bs)
+    out = np.empty_like(blocks)
+    prev_last = np.int64(0)
+    reg_idx = 0
+    for b, mode in enumerate(prediction.modes.tolist()):
+        if mode == MODE_LORENZO:
+            out[b] = np.cumsum(blocks[b]) + prev_last
+        elif mode == MODE_REGRESSION:
+            out[b] = blocks[b] + preds[reg_idx]
+            reg_idx += 1
+        else:
+            out[b] = blocks[b]
+        prev_last = out[b, -1]
+    return out.reshape(-1)[:n]
+
+
+L, R, D = MODE_LORENZO, MODE_REGRESSION, MODE_DIRECT
+
+
+class TestAdaptiveDecodeMatchesBlockLoop:
+    """The loop-free decoder against a per-block loop, per mode sequence."""
+
+    @pytest.mark.parametrize(
+        "modes, tail",
+        [
+            ([L, L, R, L, D, L, L], 0),  # Lorenzo first
+            ([R, L, L, D, L, L, L], 0),  # Lorenzo runs after regression / direct
+            ([D, D, D, D], 0),  # all direct
+            ([L, L, L, L, L], 0),  # all Lorenzo: one chain from zero
+            ([D, L, R, L], 37),  # partial last block (Lorenzo)
+            ([L, R, D, R], 5),  # partial last block (regression)
+            ([L], 40),  # a single partial block
+        ],
+    )
+    def test_mode_sequences(self, modes, tail):
+        bs = 64
+        rng = np.random.default_rng(len(modes) * 1000 + tail)
+        n = len(modes) * bs - tail
+        modes = np.asarray(modes, dtype=np.uint8)
+        nreg = int((modes == MODE_REGRESSION).sum())
+        prediction = AdaptivePrediction(
+            residuals=rng.integers(-1000, 1000, size=n).astype(np.int64),
+            modes=modes,
+            coefficients=rng.normal(0, 50, size=(nreg, 2)).astype(np.float32),
+            block_size=bs,
+            count=n,
+        )
+        np.testing.assert_array_equal(
+            adaptive_decode(prediction), _block_loop_decode(prediction)
+        )
+
+    def test_random_mode_sequences(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(25):
+            bs = int(rng.integers(4, 40))
+            nblocks = int(rng.integers(1, 60))
+            n = nblocks * bs - int(rng.integers(0, bs))
+            modes = rng.integers(0, 3, size=nblocks).astype(np.uint8)
+            nreg = int((modes == MODE_REGRESSION).sum())
+            prediction = AdaptivePrediction(
+                residuals=rng.integers(-(1 << 40), 1 << 40, size=n).astype(np.int64),
+                modes=modes,
+                coefficients=rng.normal(0, 1e4, size=(nreg, 2)).astype(np.float32),
+                block_size=bs,
+                count=n,
+            )
+            np.testing.assert_array_equal(
+                adaptive_decode(prediction), _block_loop_decode(prediction)
+            )
 
 
 class TestAdaptiveInsideSZ:
