@@ -61,11 +61,7 @@ from repro.analysis import format_bytes, render_table
 from repro.core.encoder import DeepSZEncoder
 from repro.pruning.magnitude import prune_weights
 from repro.pruning.sparse_format import encode_sparse
-from repro.serve.bench import (
-    async_gateway_benchmark,
-    gateway_benchmark,
-    serving_benchmark,
-)
+from repro.serve.bench import gateway_benchmark, serving_benchmark
 from repro.store import archive_bytes
 
 #: Paper-ish fc-layer shapes (AlexNet fc6/fc7/fc8), shrunk by REPRO_SCALE.
@@ -303,14 +299,16 @@ def bench_async_front_door() -> dict:
 
     async_rps, sync_rps = [], []
     for _ in range(3):
-        out = async_gateway_benchmark(
+        out = gateway_benchmark(
             source,
+            frontdoor="async",
             replicas=1,
             clients=clients,
             requests_per_client=requests_per_client,
             backend="process",
             max_concurrency=clients,
             seed=0,
+            saturation_queue_depth=None,
         )
         assert out["failures"] == 0 and out["rejected"] == 0, out
         async_rps.append(out["throughput_rps"])

@@ -31,9 +31,10 @@
 * :mod:`repro.serve.http` — the minimal stdlib HTTP surface
   (``python -m repro serve-http``): ``/v1/infer/<model>``, ``/metrics``,
   ``/healthz``;
-* :mod:`repro.serve.bench` — the cold/warm/concurrency and gateway-scaling
-  measurement harnesses behind ``python -m repro serve-bench`` /
-  ``gateway-bench`` and ``benchmarks/bench_serving.py``.
+* :mod:`repro.serve.bench` — the cold/warm/concurrency runtime harness
+  and the gateway harness (either front door; its load comes from the
+  :mod:`repro.sim.driver` replay drivers) behind ``python -m repro
+  serve-bench`` / ``gateway-bench`` and ``benchmarks/bench_serving.py``.
 """
 
 from repro.serve.async_gateway import AsyncGateway

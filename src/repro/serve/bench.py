@@ -13,29 +13,21 @@ Two functions produce the numbers the serving story is judged on, shared by
 * **warm layer access** — mean per-access latency once the decoded-layer
   cache is hot (must be orders of magnitude below cold full decode);
 * **layer-access throughput** at several thread counts against the warm
-  cache (the cache is the serving hot path; this measures its contention);
-* optionally a **gateway replica sweep** (``gateway_replicas=(1, 2, 4)``)
-  over the same archive, reporting end-to-end request throughput per
-  replica count.
+  cache (the cache is the serving hot path; this measures its contention).
 
-:func:`gateway_benchmark` drives a whole :class:`~repro.serve.Gateway`
-under closed-loop client load (every client waits for each response before
-sending the next), then optionally slams it with an open-loop burst against
-a deliberately tiny admission queue to measure how overload degrades:
-bounded-queue rejections and stable latency for the admitted requests, not
-a latency collapse.
-
-:func:`async_gateway_benchmark` runs the same closed-loop shape against the
-:class:`~repro.serve.AsyncGateway`: N concurrent client *coroutines* on one
-event loop instead of N threads, over the identical replica backend.  Its
-``throughput_rps`` is directly comparable to :func:`gateway_benchmark` at
-the same client count — the number the blocking-vs-event-loop front door
-comparison is judged on.
+:func:`gateway_benchmark` drives a whole gateway — the blocking
+:class:`~repro.serve.Gateway` or the :class:`~repro.serve.AsyncGateway`,
+picked by ``frontdoor`` — under closed-loop client load (every client waits
+for each response before sending the next), then optionally slams it with
+an open-loop burst against a deliberately tiny admission queue to measure
+how overload degrades: bounded-queue rejections and stable latency for the
+admitted requests, not a latency collapse.  It sends no request itself:
+both phases are traces replayed by :func:`repro.sim.driver.drive_gateway`,
+and each phase's driver counts must agree with ``Gateway.stats()``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from pathlib import Path
@@ -45,17 +37,15 @@ import numpy as np
 
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import JsonlSpanExporter, Tracer
-from repro.serve.async_gateway import AsyncGateway
-from repro.serve.gateway import Gateway
 from repro.serve.runtime import DEFAULT_CACHE_BYTES, ModelRuntime
-from repro.store.archive import ModelArchive
-from repro.utils.errors import DeadlineExceeded, GatewayOverloaded, ValidationError
+from repro.sim.driver import DriveResult, drive_gateway
+from repro.sim.workload import SimRequest, WorkloadTrace
+from repro.store.archive import archive_input_dim
+from repro.utils.errors import ReproError, ValidationError
 
 __all__ = [
-    "archive_input_dim",
     "serving_benchmark",
     "gateway_benchmark",
-    "async_gateway_benchmark",
     "dump_metrics",
 ]
 
@@ -86,30 +76,41 @@ def _fresh_runtime(source, cache_bytes: int, sparse: bool) -> ModelRuntime:
     return ModelRuntime(source, cache_bytes=cache_bytes, sparse=sparse)
 
 
-def archive_input_dim(source: Union[str, bytes]) -> int:
-    """The in-features of a chained archive's first fc layer (request width).
-
-    Shared with :mod:`repro.sim`, whose zoo builder sizes each model's
-    input sample off the archive instead of re-parsing the synthetic spec.
-    """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        archive = ModelArchive.from_bytes(source)
-    else:
-        archive = ModelArchive.open(source)
-    try:
-        first = archive.layer_names[0]
-        return int(archive.manifest.layers[first].shape[1])
-    finally:
-        archive.close()
+def _replay_trace(models: Sequence[str], requests: Sequence[SimRequest]) -> WorkloadTrace:
+    """A trace of ``requests`` with every arrival at 0 (no rendering knobs)."""
+    return WorkloadTrace(
+        scenario="gateway-benchmark",
+        seed=0,
+        duration_s=0.0,
+        rate_rps=0.0,
+        models=tuple(models),
+        tenants=tuple(sorted({req.tenant for req in requests})),
+        params={},
+        requests=tuple(requests),
+    )
 
 
-# Backwards-compatible private alias (pre-repro.sim callers).
-_archive_input_dim = archive_input_dim
+def _check_accounting(phase: str, result: DriveResult, stats) -> None:
+    """Every offered request resolved exactly once, and the gateway agrees."""
+    expected = {
+        "submitted": result.offered - result.rejected,
+        "completed": result.completed,
+        "rejected": result.rejected,
+        "failures": result.failures,
+    }
+    counted = {key: getattr(stats, key) for key in expected}
+    settled = result.completed + result.rejected + result.expired + result.failures
+    if counted != expected or settled != result.offered:
+        raise ReproError(
+            f"{phase} accounting broken: offered {result.offered}, driver "
+            f"{expected} (expired {result.expired}), Gateway.stats() {counted}"
+        )
 
 
 def gateway_benchmark(
     sources: Dict[str, Union[str, bytes]],
     *,
+    frontdoor: str = "sync",
     replicas: int = 1,
     clients: int = 4,
     requests_per_client: int = 64,
@@ -131,22 +132,25 @@ def gateway_benchmark(
 
     ``sources`` maps model names to archive paths/bytes; every model gets
     ``replicas`` replicas and the same shard ``policy``.  ``sparse`` is a
-    bool for all models or a per-model dict.  ``clients`` threads each send
-    ``requests_per_client`` requests round-robin across the models, waiting
-    for every response (closed loop), which measures sustainable aggregate
-    throughput rather than queue growth.  ``burst`` submits that many
-    samples per round before waiting (a client with a camera roll, not a
-    single frame): outstanding requests ≈ ``clients * burst``, which is
+    bool for all models or a per-model dict.  ``frontdoor`` is ``"sync"``
+    (client threads on :class:`~repro.serve.Gateway`) or ``"async"``
+    (client coroutines on one event loop, :class:`~repro.serve.AsyncGateway`).
+    ``clients`` closed-loop clients each send ``requests_per_client``
+    requests, cycling through the models round by round, with shard key
+    ``client-<i>``, and wait for every response, which measures sustainable
+    aggregate throughput rather than queue growth.  ``burst`` submits that
+    many samples per round before waiting (a client with a camera roll, not
+    a single frame): outstanding requests ≈ ``clients * burst``, which is
     what keeps a replica pool busy and lets dynamic batching coalesce.
 
     With ``saturation_queue_depth`` set, a second gateway with that tiny
     admission queue (and one in-service slot per replica) takes an
-    open-loop burst of ~6x its capacity per model; the report shows how
-    many requests were fast-fail rejected versus admitted, and the p99 of
-    the admitted ones — bounded-queue overload, not latency collapse.
-    ``backend`` selects the replica execution backend (``"thread"`` keeps
-    everything in-process; ``"process"`` runs GIL-free worker processes
-    over the shared-memory weight cache).
+    open-loop burst of ~6x its capacity per model, all arrivals at once;
+    the report shows how many requests were fast-fail rejected versus
+    admitted, and the p99 of the admitted ones — bounded-queue overload,
+    not latency collapse.  ``backend`` selects the replica execution
+    backend (``"thread"`` keeps everything in-process; ``"process"`` runs
+    GIL-free worker processes over the shared-memory weight cache).
 
     ``trace_sample`` > 0 (with ``trace_path``) traces that fraction of the
     closed-loop requests into a span JSONL file; ``metrics_path`` dumps the
@@ -155,9 +159,10 @@ def gateway_benchmark(
     """
     if not sources:
         raise ValidationError("gateway_benchmark needs at least one model source")
-    if int(clients) < 1 or int(requests_per_client) < 1:
+    clients, burst = int(clients), int(burst)
+    if clients < 1 or int(requests_per_client) < 1:
         raise ValidationError("clients and requests_per_client must be >= 1")
-    if int(burst) < 1:
+    if burst < 1:
         raise ValidationError("burst must be >= 1")
     if float(trace_sample) > 0.0 and trace_path is None:
         raise ValidationError("trace_sample > 0 needs a trace_path to export to")
@@ -165,23 +170,16 @@ def gateway_benchmark(
     sparse_by_name = (
         dict(sparse) if isinstance(sparse, dict) else {name: bool(sparse) for name in names}
     )
-    input_dims = {name: _archive_input_dim(src) for name, src in sources.items()}
-    exporter: Optional[JsonlSpanExporter] = None
-    tracer: Optional[Tracer] = None
-    if float(trace_sample) > 0.0:
-        exporter = JsonlSpanExporter(trace_path)
-        tracer = Tracer(float(trace_sample), exporter, seed=seed)
+    rng = np.random.default_rng(seed)
+    inputs = {
+        name: rng.standard_normal((1, archive_input_dim(src))).astype(np.float32)[0]
+        for name, src in sources.items()
+    }
 
-    def build(
-        max_queue_depth: int,
-        concurrency_cap: Optional[int],
-        gw_tracer: Optional[Tracer] = None,
-    ) -> Gateway:
-        gateway = Gateway(replica_backend=backend, tracer=gw_tracer)
-        for name, src in sources.items():
-            gateway.add_model(
-                name,
-                src,
+    def hosted(max_queue_depth: int, concurrency_cap: Optional[int]) -> Dict:
+        return {
+            name: dict(
+                source=src,
                 replicas=replicas,
                 sparse=sparse_by_name.get(name, False),
                 policy=policy,
@@ -190,81 +188,62 @@ def gateway_benchmark(
                 batch_size=batch_size,
                 max_batch_delay=max_batch_delay,
                 cache_bytes=cache_bytes,
+                replica_backend=backend,
             )
-        return gateway
+            for name, src in sources.items()
+        }
 
-    # -- closed-loop load phase --------------------------------------------
-    total_requests = int(clients) * int(requests_per_client)
-    gateway = build(
-        max_queue_depth=total_requests + 1,
-        concurrency_cap=max_concurrency,
-        gw_tracer=tracer,
-    )
-    rng = np.random.default_rng(seed)
-    inputs = {
-        name: rng.standard_normal((1, dim)).astype(np.float32)[0]
-        for name, dim in input_dims.items()
-    }
-    errors: list = []
-    barrier = threading.Barrier(int(clients) + 1)
-
-    def client(client_index: int) -> None:
-        try:
-            barrier.wait()
-            sent = 0
-            round_no = 0
-            while sent < int(requests_per_client):
-                name = names[(client_index + round_no) % len(names)]
-                size = min(int(burst), int(requests_per_client) - sent)
-                futures = [
-                    gateway.submit(name, inputs[name], key=f"client-{client_index}")
-                    for _ in range(size)
-                ]
-                for future in futures:
-                    future.result(timeout=120)
-                sent += size
-                round_no += 1
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    try:
-        gateway.start()
-        threads = [
-            threading.Thread(target=client, args=(i,), name=f"gw-client-{i}")
-            for i in range(int(clients))
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
+    def closed_loop_stats(gateway):
         stats = gateway.stats()
         if metrics_path is not None:
-            # While the gateway is still running: its collector only feeds
-            # the registry between start() and stop().
             dump_metrics(metrics_path)
+        return stats
+
+    # -- closed-loop load phase --------------------------------------------
+    # Request j belongs to client j % clients (the driver's slicing); that
+    # client's round r = (j // clients) // burst goes to model (client + r).
+    total_requests = clients * int(requests_per_client)
+    closed_trace = _replay_trace(names, [
+        SimRequest(0.0, names[(j % clients + j // clients // burst) % len(names)],
+                   f"client-{j % clients}")
+        for j in range(total_requests)
+    ])
+    exporter: Optional[JsonlSpanExporter] = None
+    tracer: Optional[Tracer] = None
+    if float(trace_sample) > 0.0:
+        exporter = JsonlSpanExporter(trace_path)
+        tracer = Tracer(float(trace_sample), exporter, seed=seed)
+    try:
+        run, stats = drive_gateway(
+            hosted(total_requests + 1, max_concurrency),
+            closed_trace,
+            inputs,
+            frontdoor=frontdoor,
+            mode="closed",
+            tracer=tracer,
+            observe=closed_loop_stats,
+            clients=clients,
+            burst=burst,
+        )
     finally:
-        gateway.close()
         if tracer is not None:
             tracer.close()
-    if errors:
-        raise errors[0]
+    _check_accounting("closed-loop", run, stats)
 
     results: Dict = {
         "models": len(names),
         "replicas": int(replicas),
         "backend": backend,
+        "frontdoor": frontdoor,
         "policy": policy,
-        "clients": int(clients),
-        "burst": int(burst),
+        "clients": clients,
+        "burst": burst,
         "requests": total_requests,
-        "completed": stats.completed,
-        "failures": stats.failures,
-        "rejected": stats.rejected,
-        "elapsed_s": elapsed,
-        "throughput_rps": total_requests / elapsed if elapsed else 0.0,
+        "completed": run.completed,
+        "failures": run.failures,
+        "rejected": run.rejected,
+        "elapsed_s": run.elapsed_s,
+        "throughput_rps": run.rps,
         "latency_ms": dict(stats.latencies_ms),
         "cache_bytes": stats.cache_bytes,
         "shared_bytes": stats.shared_bytes,
@@ -292,165 +271,30 @@ def gateway_benchmark(
     if saturation_queue_depth is not None:
         depth = int(saturation_queue_depth)
         concurrency_cap = max(1, int(replicas))
-        burst_per_model = 6 * (depth + concurrency_cap)
-        gateway = build(max_queue_depth=depth, concurrency_cap=concurrency_cap)
-        admitted = []
-        rejected = 0
-        try:
-            gateway.start()
-            start = time.perf_counter()
-            for name in names:
-                for _ in range(burst_per_model):
-                    try:
-                        admitted.append(gateway.submit(name, inputs[name]))
-                    except GatewayOverloaded:
-                        rejected += 1
-            for future in admitted:
-                future.result(timeout=120)
-            burst_elapsed = time.perf_counter() - start
-            saturation_stats = gateway.stats()
-        finally:
-            gateway.close()
-        offered = burst_per_model * len(names)
+        per_model = 6 * (depth + concurrency_cap)
+        flood = _replay_trace(names, [
+            SimRequest(0.0, name, f"flood-{i}") for name in names for i in range(per_model)
+        ])
+        run, stats = drive_gateway(
+            hosted(depth, concurrency_cap),
+            flood,
+            inputs,
+            frontdoor=frontdoor,
+            mode="open",
+            observe=lambda gateway: gateway.stats(),
+        )
+        _check_accounting("saturation", run, stats)
         results["saturation"] = {
             "queue_depth_limit": depth,
             "max_concurrency": concurrency_cap,
-            "offered": offered,
-            "admitted": len(admitted),
-            "rejected": rejected,
-            "rejection_rate": rejected / offered if offered else 0.0,
-            "elapsed_s": burst_elapsed,
-            "latency_ms": dict(saturation_stats.latencies_ms),
+            "offered": run.offered,
+            "admitted": run.offered - run.rejected,
+            "rejected": run.rejected,
+            "rejection_rate": run.rejection_rate,
+            "elapsed_s": run.elapsed_s,
+            "latency_ms": dict(stats.latencies_ms),
         }
     return results
-
-
-def async_gateway_benchmark(
-    sources: Dict[str, Union[str, bytes]],
-    *,
-    replicas: int = 1,
-    clients: int = 64,
-    requests_per_client: int = 32,
-    policy: str = "round-robin",
-    sparse: Union[bool, Dict[str, bool]] = False,
-    batch_size: int = 16,
-    max_batch_delay: float = 0.002,
-    max_concurrency: Optional[int] = None,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
-    seed: int = 0,
-    backend: str = "process",
-    deadline: Optional[float] = None,
-) -> Dict:
-    """Drive the asyncio gateway under closed-loop coroutine load.
-
-    The load shape mirrors :func:`gateway_benchmark`: ``clients`` closed-loop
-    clients each send ``requests_per_client`` requests round-robin across the
-    models, waiting for every response before the next.  Here the clients are
-    coroutines multiplexed on the one event loop the
-    :class:`~repro.serve.AsyncGateway` runs on — the whole front half of the
-    system is a single thread, which is exactly what the comparison with the
-    blocking front door measures (64 coroutines cost one stack; 64 client
-    threads cost a scheduler).
-
-    ``deadline`` (seconds) is attached to every request when set;
-    :class:`~repro.utils.errors.DeadlineExceeded` responses are counted, not
-    fatal, and ``throughput_rps`` then counts completed requests only.
-    Returns a JSON-ready dict shaped like :func:`gateway_benchmark`'s
-    closed-loop section.
-    """
-    if not sources:
-        raise ValidationError("async_gateway_benchmark needs at least one model source")
-    if int(clients) < 1 or int(requests_per_client) < 1:
-        raise ValidationError("clients and requests_per_client must be >= 1")
-    if deadline is not None and float(deadline) <= 0.0:
-        raise ValidationError("deadline must be > 0 seconds")
-    names = list(sources)
-    sparse_by_name = (
-        dict(sparse) if isinstance(sparse, dict) else {name: bool(sparse) for name in names}
-    )
-    input_dims = {name: _archive_input_dim(src) for name, src in sources.items()}
-    rng = np.random.default_rng(seed)
-    inputs = {
-        name: rng.standard_normal((1, dim)).astype(np.float32)[0]
-        for name, dim in input_dims.items()
-    }
-    total_requests = int(clients) * int(requests_per_client)
-
-    async def run() -> tuple:
-        gateway = AsyncGateway(replica_backend=backend)
-        for name, src in sources.items():
-            gateway.add_model(
-                name,
-                src,
-                replicas=int(replicas),
-                sparse=sparse_by_name.get(name, False),
-                policy=policy,
-                max_queue_depth=total_requests + 1,
-                max_concurrency=max_concurrency,
-                batch_size=batch_size,
-                max_batch_delay=max_batch_delay,
-                cache_bytes=cache_bytes,
-            )
-        go = asyncio.Event()
-        deadline_hits = 0
-
-        async def client(client_index: int) -> None:
-            nonlocal deadline_hits
-            await go.wait()
-            for round_no in range(int(requests_per_client)):
-                name = names[(client_index + round_no) % len(names)]
-                try:
-                    await gateway.submit(
-                        name,
-                        inputs[name],
-                        key=f"client-{client_index}",
-                        deadline=deadline,
-                    )
-                except DeadlineExceeded:
-                    deadline_hits += 1
-
-        try:
-            await gateway.start()
-            tasks = [
-                asyncio.ensure_future(client(i)) for i in range(int(clients))
-            ]
-            go.set()
-            start = time.perf_counter()
-            await asyncio.gather(*tasks)
-            elapsed = time.perf_counter() - start
-            stats = gateway.stats()
-        finally:
-            await gateway.close()
-        return elapsed, stats, deadline_hits
-
-    elapsed, stats, deadline_hits = asyncio.run(run())
-    finished = total_requests - deadline_hits
-    return {
-        "models": len(names),
-        "replicas": int(replicas),
-        "backend": backend,
-        "policy": policy,
-        "clients": int(clients),
-        "requests": total_requests,
-        "completed": stats.completed,
-        "failures": stats.failures,
-        "rejected": stats.rejected,
-        "deadline_exceeded": deadline_hits,
-        "elapsed_s": elapsed,
-        "throughput_rps": finished / elapsed if elapsed else 0.0,
-        "latency_ms": dict(stats.latencies_ms),
-        "cache_bytes": stats.cache_bytes,
-        "shared_bytes": stats.shared_bytes,
-        "per_model": {
-            name: {
-                "completed": model.completed,
-                "throughput_rps": model.throughput_rps,
-                "latency_ms": dict(model.latencies_ms),
-                "dispatched": [replica.dispatched for replica in model.replicas],
-            }
-            for name, model in stats.models.items()
-        },
-    }
 
 
 def serving_benchmark(
@@ -462,20 +306,12 @@ def serving_benchmark(
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     seed: int = 0,
     sparse: bool = False,
-    gateway_replicas: Optional[Sequence[int]] = None,
-    gateway_clients: int = 4,
-    gateway_requests_per_client: int = 48,
-    gateway_backend: str = "thread",
 ) -> Dict:
     """Benchmark cold/warm layer access and concurrent throughput.
 
     ``source`` is a ``.dsz`` archive path or its raw bytes.  ``sparse``
     serves layers in compressed-domain form (``decoded_bytes`` then reports
     the resident CSC footprint the cache is charged, not dense bytes).
-    ``gateway_replicas`` additionally sweeps a single-model gateway over
-    the archive at those replica counts (end-to-end request throughput;
-    chained-MLP archives only) into a ``"gateway"`` section, running
-    replicas on ``gateway_backend`` (``"thread"`` or ``"process"``).
     Returns a JSON-ready dict (see the module docstring for the metrics).
     """
     # -- cold: full-model decode on a fresh runtime -------------------------
@@ -535,7 +371,7 @@ def serving_benchmark(
     finally:
         runtime.close()
 
-    results = {
+    return {
         "layers": len(layer_names),
         "sparse": bool(sparse),
         "archive_bytes": archive_size,
@@ -552,23 +388,3 @@ def serving_benchmark(
         # (obs profiling hooks; empty when instrumentation is disabled).
         "decode_stages": decode_stages,
     }
-
-    if gateway_replicas:
-        counts = sorted({int(r) for r in gateway_replicas if int(r) >= 1})
-        sweep: Dict[str, Dict] = {}
-        for count in counts:
-            sweep[str(count)] = gateway_benchmark(
-                {"model": source},
-                replicas=count,
-                clients=gateway_clients,
-                requests_per_client=gateway_requests_per_client,
-                sparse=sparse,
-                cache_bytes=cache_bytes,
-                seed=seed,
-                backend=gateway_backend,
-                # One saturation probe per sweep (at the largest pool) is
-                # enough to characterise overload behaviour.
-                saturation_queue_depth=8 if count == counts[-1] else None,
-            )
-        results["gateway"] = sweep
-    return results

@@ -9,7 +9,10 @@ The package splits into three layers:
 * :mod:`repro.sim.driver` — open- and closed-loop clients that replay a
   trace against the sync :class:`~repro.serve.gateway.Gateway` or the
   :class:`~repro.serve.async_gateway.AsyncGateway` and reduce the
-  outcomes to a :class:`~repro.sim.driver.DriveResult`.
+  outcomes to a :class:`~repro.sim.driver.DriveResult`, plus
+  :func:`~repro.sim.driver.drive_gateway`, the one build/start/drive/close
+  lifecycle the matrix and ``repro.serve.bench`` share.  These drivers
+  are the repo's only load generator.
 * :mod:`repro.sim.matrix` — the config-driven scenario×policy matrix
   runner behind ``python -m repro scenario-bench`` and
   ``benchmarks/bench_scenarios.py``.
@@ -22,6 +25,7 @@ from repro.sim.driver import (
     DriveResult,
     drive_closed_loop,
     drive_closed_loop_async,
+    drive_gateway,
     drive_open_loop,
     drive_open_loop_async,
 )
@@ -52,6 +56,7 @@ __all__ = [
     "WorkloadTrace",
     "drive_closed_loop",
     "drive_closed_loop_async",
+    "drive_gateway",
     "drive_open_loop",
     "drive_open_loop_async",
     "flatten_metrics",

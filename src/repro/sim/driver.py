@@ -1,6 +1,9 @@
 """Replay a :class:`~repro.sim.workload.WorkloadTrace` against a gateway.
 
-Two client disciplines, each available for both front doors:
+This module is the repo's only load generator: the scenario matrix, the
+``gateway_benchmark`` harness and perfbench ``serve-closed`` all send
+their requests through these drivers.  Two client disciplines, each
+available for both front doors:
 
 * **Open loop** — requests are submitted at their *scheduled* arrival
   times regardless of how the server is doing, and latency is measured
@@ -9,10 +12,13 @@ Two client disciplines, each available for both front doors:
   stalls, the backlog of scheduled arrivals keeps counting against it
   instead of silently pausing the load generator.
 * **Closed loop** — a fixed pool of clients each issue their share of
-  the trace sequentially, waiting for every response before sending the
-  next request.  Throughput is then concurrency-bound (classic
-  benchmark style) and latency hides server stalls; useful for capacity
-  numbers, wrong for tail-latency claims.
+  the trace in rounds of ``burst`` requests, waiting for every response
+  of a round before sending the next.  Throughput is then
+  concurrency-bound (classic benchmark style) and latency hides server
+  stalls; useful for capacity numbers, wrong for tail-latency claims.
+
+:func:`drive_gateway` is the one gateway lifecycle around a replay:
+build the gateway for a front door, add the models, start, drive, close.
 
 Outcome taxonomy (disjoint; ``offered`` is their sum):
 
@@ -29,10 +35,11 @@ the async gateway enforces them in-flight.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -46,11 +53,14 @@ __all__ = [
     "DriveResult",
     "drive_closed_loop",
     "drive_closed_loop_async",
+    "drive_gateway",
     "drive_open_loop",
     "drive_open_loop_async",
 ]
 
 _PERCENTILES = (50.0, 90.0, 99.0)
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -123,6 +133,44 @@ def _check_inputs(trace: WorkloadTrace, inputs: Mapping[str, np.ndarray]) -> Non
         raise ValidationError(f"no input sample for trace models: {missing}")
 
 
+def _check_closed(
+    trace: WorkloadTrace, inputs: Mapping[str, np.ndarray], clients: int, burst: int
+) -> None:
+    _check_inputs(trace, inputs)
+    if clients < 1:
+        raise ValidationError(f"clients must be >= 1, got {clients}")
+    if burst < 1:
+        raise ValidationError(f"burst must be >= 1, got {burst}")
+
+
+def _reduce(
+    mode: str,
+    trace: WorkloadTrace,
+    latencies: List[Tuple[float, Optional[float]]],
+    counters: Mapping[str, int],
+    elapsed: float,
+    max_lag: float = 0.0,
+) -> DriveResult:
+    """One outcome accounting for every driver: ``latencies`` holds a
+    ``(latency_s, deadline_s)`` pair per completed request."""
+    late = sum(
+        1 for latency, deadline in latencies if deadline is not None and latency > deadline
+    )
+    expired = counters.get("expired", 0)
+    return DriveResult(
+        mode=mode,
+        offered=len(trace.requests),
+        completed=len(latencies),
+        rejected=counters["rejected"],
+        expired=expired,
+        failures=counters["failures"],
+        deadline_misses=expired + late,
+        elapsed_s=elapsed,
+        latencies_s=[latency for latency, _ in latencies],
+        max_submit_lag_s=max_lag,
+    )
+
+
 # ---------------------------------------------------------------------------
 # sync gateway
 
@@ -183,25 +231,10 @@ def drive_open_loop(
         drained = cond.wait_for(lambda: settled >= submitted, timeout=timeout)
         if not drained:
             failures += submitted - settled  # stuck futures score as failures
-        lat = [latency for latency, _ in latencies]
-        late = sum(
-            1 for latency, deadline in latencies if deadline is not None and latency > deadline
-        )
-        completed = len(latencies)
-        failed = failures
+        counters = {"rejected": rejected, "failures": failures}
+        settled_latencies = list(latencies)
     elapsed = time.perf_counter() - start
-    return DriveResult(
-        mode="open",
-        offered=len(trace.requests),
-        completed=completed,
-        rejected=rejected,
-        expired=0,
-        failures=failed,
-        deadline_misses=late,
-        elapsed_s=elapsed,
-        latencies_s=lat,
-        max_submit_lag_s=max_lag,
-    )
+    return _reduce("open", trace, settled_latencies, counters, elapsed, max_lag)
 
 
 def drive_closed_loop(
@@ -210,13 +243,17 @@ def drive_closed_loop(
     inputs: Mapping[str, np.ndarray],
     *,
     clients: int = 4,
+    burst: int = 1,
     time_scale: float = 1.0,
     timeout: float = 60.0,
 ) -> DriveResult:
-    """Closed-loop replay: ``clients`` threads each drain a trace slice."""
-    _check_inputs(trace, inputs)
-    if clients < 1:
-        raise ValidationError(f"clients must be >= 1, got {clients}")
+    """Closed-loop replay: ``clients`` threads each drain a trace slice.
+
+    Each client submits up to ``burst`` requests of its slice, then waits
+    for every one of them before the next round, so about
+    ``clients * burst`` requests are outstanding.
+    """
+    _check_closed(trace, inputs, clients, burst)
     lock = threading.Lock()
     latencies: List[Tuple[float, Optional[float]]] = []
     counters = {"rejected": 0, "failures": 0}
@@ -224,23 +261,33 @@ def drive_closed_loop(
 
     def _client(slice_requests: Tuple[Any, ...]) -> None:
         barrier.wait()
-        for req in slice_requests:
-            deadline = None if req.deadline_s is None else req.deadline_s * time_scale
-            sent = time.perf_counter()
-            try:
-                fut = gateway.submit(req.model, inputs[req.model], key=req.tenant)
-                fut.result(timeout=timeout)
-            except GatewayOverloaded:
+        for first in range(0, len(slice_requests), burst):
+            pending = []
+            for req in slice_requests[first:first + burst]:
+                deadline = None if req.deadline_s is None else req.deadline_s * time_scale
+                sent = time.perf_counter()
+                try:
+                    pending.append(
+                        (gateway.submit(req.model, inputs[req.model], key=req.tenant),
+                         sent, deadline)
+                    )
+                except GatewayOverloaded:
+                    with lock:
+                        counters["rejected"] += 1
+                except Exception:
+                    _log.debug("closed-loop submit failed", exc_info=True)
+                    with lock:
+                        counters["failures"] += 1
+            for fut, sent, deadline in pending:
+                try:
+                    fut.result(timeout=timeout)
+                except Exception:
+                    _log.debug("closed-loop request failed", exc_info=True)
+                    with lock:
+                        counters["failures"] += 1
+                    continue
                 with lock:
-                    counters["rejected"] += 1
-                continue
-            except Exception:
-                _log.debug("closed-loop request failed", exc_info=True)
-                with lock:
-                    counters["failures"] += 1
-                continue
-            with lock:
-                latencies.append((time.perf_counter() - sent, deadline))
+                    latencies.append((time.perf_counter() - sent, deadline))
 
     threads = [
         threading.Thread(
@@ -256,21 +303,7 @@ def drive_closed_loop(
         t.join()
     elapsed = time.perf_counter() - start
     with lock:
-        lat = [latency for latency, _ in latencies]
-        late = sum(
-            1 for latency, deadline in latencies if deadline is not None and latency > deadline
-        )
-    return DriveResult(
-        mode="closed",
-        offered=len(trace.requests),
-        completed=len(lat),
-        rejected=counters["rejected"],
-        expired=0,
-        failures=counters["failures"],
-        deadline_misses=late,
-        elapsed_s=elapsed,
-        latencies_s=lat,
-    )
+        return _reduce("closed", trace, list(latencies), counters, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +323,6 @@ async def drive_open_loop_async(
     cancelled by the front door and counted as ``expired`` (a deadline
     miss), not as a completion.
     """
-    import asyncio
-
     _check_inputs(trace, inputs)
     loop = asyncio.get_running_loop()
     latencies: List[Tuple[float, Optional[float]]] = []
@@ -326,23 +357,7 @@ async def drive_open_loop_async(
         tasks.append(asyncio.ensure_future(_one(req, target, deadline)))
     if tasks:
         await asyncio.gather(*tasks)
-    elapsed = loop.time() - start
-    lat = [latency for latency, _ in latencies]
-    late = sum(
-        1 for latency, deadline in latencies if deadline is not None and latency > deadline
-    )
-    return DriveResult(
-        mode="open",
-        offered=len(trace.requests),
-        completed=len(lat),
-        rejected=counters["rejected"],
-        expired=counters["expired"],
-        failures=counters["failures"],
-        deadline_misses=counters["expired"] + late,
-        elapsed_s=elapsed,
-        latencies_s=lat,
-        max_submit_lag_s=max_lag,
-    )
+    return _reduce("open", trace, latencies, counters, loop.time() - start, max_lag)
 
 
 async def drive_closed_loop_async(
@@ -351,53 +366,112 @@ async def drive_closed_loop_async(
     inputs: Mapping[str, np.ndarray],
     *,
     clients: int = 4,
+    burst: int = 1,
     time_scale: float = 1.0,
 ) -> DriveResult:
-    """Closed-loop replay: ``clients`` coroutines each drain a slice."""
-    import asyncio
-
-    _check_inputs(trace, inputs)
-    if clients < 1:
-        raise ValidationError(f"clients must be >= 1, got {clients}")
+    """Closed-loop replay: ``clients`` coroutines each drain a slice,
+    ``burst`` concurrent requests at a time (see :func:`drive_closed_loop`)."""
+    _check_closed(trace, inputs, clients, burst)
     loop = asyncio.get_running_loop()
     latencies: List[Tuple[float, Optional[float]]] = []
     counters = {"rejected": 0, "expired": 0, "failures": 0}
 
+    async def _one(req: Any) -> None:
+        deadline = None if req.deadline_s is None else req.deadline_s * time_scale
+        sent = loop.time()
+        try:
+            await gateway.submit(
+                req.model, inputs[req.model], key=req.tenant, deadline=deadline
+            )
+        except DeadlineExceeded:
+            counters["expired"] += 1
+        except GatewayOverloaded:
+            counters["rejected"] += 1
+        except Exception:
+            _log.debug("closed-loop request failed", exc_info=True)
+            counters["failures"] += 1
+        else:
+            latencies.append((loop.time() - sent, deadline))
+
     async def _client(slice_requests: Tuple[Any, ...]) -> None:
-        for req in slice_requests:
-            deadline = None if req.deadline_s is None else req.deadline_s * time_scale
-            sent = loop.time()
-            try:
-                await gateway.submit(
-                    req.model, inputs[req.model], key=req.tenant, deadline=deadline
-                )
-            except DeadlineExceeded:
-                counters["expired"] += 1
-            except GatewayOverloaded:
-                counters["rejected"] += 1
-            except Exception:
-                _log.debug("closed-loop request failed", exc_info=True)
-                counters["failures"] += 1
+        for first in range(0, len(slice_requests), burst):
+            if burst == 1:
+                await _one(slice_requests[first])
             else:
-                latencies.append((loop.time() - sent, deadline))
+                await asyncio.gather(*map(_one, slice_requests[first:first + burst]))
 
     start = loop.time()
     await asyncio.gather(
         *(_client(trace.requests[i::clients]) for i in range(clients))
     )
-    elapsed = loop.time() - start
-    lat = [latency for latency, _ in latencies]
-    late = sum(
-        1 for latency, deadline in latencies if deadline is not None and latency > deadline
-    )
-    return DriveResult(
-        mode="closed",
-        offered=len(trace.requests),
-        completed=len(lat),
-        rejected=counters["rejected"],
-        expired=counters["expired"],
-        failures=counters["failures"],
-        deadline_misses=counters["expired"] + late,
-        elapsed_s=elapsed,
-        latencies_s=lat,
-    )
+    return _reduce("closed", trace, latencies, counters, loop.time() - start)
+
+
+# ---------------------------------------------------------------------------
+# one gateway lifecycle
+
+_DRIVERS = {
+    ("sync", "open"): drive_open_loop,
+    ("sync", "closed"): drive_closed_loop,
+    ("async", "open"): drive_open_loop_async,
+    ("async", "closed"): drive_closed_loop_async,
+}
+
+
+def drive_gateway(
+    models: Mapping[str, Mapping[str, Any]],
+    trace: WorkloadTrace,
+    inputs: Mapping[str, np.ndarray],
+    *,
+    observe: Callable[[Any], T],
+    frontdoor: str = "sync",
+    mode: str = "closed",
+    metrics: Any = None,
+    tracer: Any = None,
+    **drive_options: Any,
+) -> Tuple[DriveResult, T]:
+    """Build a gateway, host ``models``, start it, replay ``trace``, close it.
+
+    ``models`` maps each model name to its ``add_model`` keyword arguments
+    (``source`` included).  ``frontdoor`` picks ``Gateway`` or
+    ``AsyncGateway``, ``mode`` the open- or closed-loop driver, which gets
+    ``drive_options`` (``clients``, ``burst``, ``time_scale``).
+    ``observe(gateway)`` runs after the replay while the gateway is still
+    running — its metrics collector only feeds the registry until
+    ``stop()`` — and its value is returned with the :class:`DriveResult`.
+    """
+    drive = _DRIVERS.get((frontdoor, mode))
+    if drive is None:
+        raise ValidationError(
+            f"no driver for frontdoor={frontdoor!r}, mode={mode!r}; "
+            f"available: {sorted(_DRIVERS)}"
+        )
+    from repro.serve.async_gateway import AsyncGateway
+    from repro.serve.gateway import Gateway
+
+    if frontdoor == "async":
+
+        async def _run() -> Tuple[DriveResult, T]:
+            gateway = AsyncGateway(metrics=metrics, tracer=tracer)
+            try:
+                _host(gateway, models)
+                await gateway.start()
+                result = await drive(gateway, trace, inputs, **drive_options)
+                return result, observe(gateway)
+            finally:
+                await gateway.close()
+
+        return asyncio.run(_run())
+    gateway = Gateway(metrics=metrics, tracer=tracer)
+    try:
+        _host(gateway, models)
+        gateway.start()
+        result = drive(gateway, trace, inputs, **drive_options)
+        return result, observe(gateway)
+    finally:
+        gateway.close()
+
+
+def _host(gateway: Any, models: Mapping[str, Mapping[str, Any]]) -> None:
+    for name, options in models.items():
+        gateway.add_model(name, **options)

@@ -24,6 +24,7 @@ See ``docs/benchmarking.md`` for the artifact schema and gating rules,
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -31,13 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.driver import (
-    DriveResult,
-    drive_closed_loop,
-    drive_closed_loop_async,
-    drive_open_loop,
-    drive_open_loop_async,
-)
+from repro.sim.driver import drive_gateway
 from repro.sim.workload import WorkloadTrace, generate_trace, get_scenario
 from repro.utils.errors import ValidationError
 
@@ -232,8 +227,7 @@ def _build_zoo(config: MatrixConfig) -> Tuple[Dict[str, bytes], Dict[str, np.nda
     """N synthetic archives ("m0".."mN-1") plus one input sample each."""
     from repro.cli import synthetic_sparse_layers
     from repro.core.encoder import DeepSZEncoder
-    from repro.serve.bench import archive_input_dim
-    from repro.store import archive_bytes
+    from repro.store import archive_bytes, archive_input_dim
 
     sources: Dict[str, bytes] = {}
     inputs: Dict[str, np.ndarray] = {}
@@ -270,15 +264,16 @@ def _render_traces(config: MatrixConfig) -> Dict[str, WorkloadTrace]:
     return traces
 
 
-def _cache_hit_rates(registry: Any) -> Dict[str, Any]:
-    """Per-model cache hit rate off ``repro_cache_events_total`` samples.
+def _cache_hit_rates(gateway: Any) -> Dict[str, Any]:
+    """Per-model cache hit rate off the gateway registry's
+    ``repro_cache_events_total`` samples.
 
     Process-backed replicas decode in worker processes (no gateway-side
     runtime), so the family may be absent or all-zero there; the overall
     rate is then ``None`` rather than a misleading 0.0.
     """
     events: Dict[str, Dict[str, float]] = {}
-    for sample in registry.samples():
+    for sample in gateway.registry.samples():
         if sample.name != "repro_cache_events_total" or sample.value is None:
             continue
         model = sample.labels.get("model", "")
@@ -298,166 +293,63 @@ def _cache_hit_rates(registry: Any) -> Dict[str, Any]:
     return {"overall": overall, "per_model": per_model}
 
 
-def _add_models(
-    gateway: Any,
-    sources: Mapping[str, bytes],
-    *,
-    policy: str,
-    backend: str,
-    replicas: int,
-    queue_depth: int,
-    config: MatrixConfig,
-) -> None:
-    for name, blob in sources.items():
-        gateway.add_model(
-            name,
-            blob,
-            replicas=replicas,
-            policy=policy,
-            replica_backend=backend,
-            max_queue_depth=queue_depth,
-            batch_size=config.batch_size,
-            max_batch_delay=config.max_batch_delay,
-        )
-
-
-def _drive_sync(
-    sources: Mapping[str, bytes],
-    inputs: Mapping[str, np.ndarray],
-    trace: WorkloadTrace,
-    *,
-    policy: str,
-    backend: str,
-    replicas: int,
-    queue_depth: int,
-    config: MatrixConfig,
-) -> Tuple[DriveResult, Dict[str, Any]]:
-    from repro.obs.metrics import MetricsRegistry
-    from repro.serve.gateway import Gateway
-
-    registry = MetricsRegistry()
-    gateway = Gateway(metrics=registry)
-    _add_models(
-        gateway,
-        sources,
-        policy=policy,
-        backend=backend,
-        replicas=replicas,
-        queue_depth=queue_depth,
-        config=config,
-    )
-    gateway.start()
-    try:
-        if config.mode == "closed":
-            result = drive_closed_loop(
-                gateway,
-                trace,
-                inputs,
-                clients=config.clients,
-                time_scale=config.time_scale,
-            )
-        else:
-            result = drive_open_loop(
-                gateway, trace, inputs, time_scale=config.time_scale
-            )
-        cache = _cache_hit_rates(registry)
-    finally:
-        gateway.close()
-    return result, cache
-
-
-def _drive_async(
-    sources: Mapping[str, bytes],
-    inputs: Mapping[str, np.ndarray],
-    trace: WorkloadTrace,
-    *,
-    policy: str,
-    backend: str,
-    replicas: int,
-    queue_depth: int,
-    config: MatrixConfig,
-) -> Tuple[DriveResult, Dict[str, Any]]:
-    import asyncio
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.serve.async_gateway import AsyncGateway
-
-    async def _run() -> Tuple[DriveResult, Dict[str, Any]]:
-        registry = MetricsRegistry()
-        gateway = AsyncGateway(metrics=registry)
-        _add_models(
-            gateway,
-            sources,
-            policy=policy,
-            backend=backend,
-            replicas=replicas,
-            queue_depth=queue_depth,
-            config=config,
-        )
-        await gateway.start()
-        try:
-            if config.mode == "closed":
-                result = await drive_closed_loop_async(
-                    gateway,
-                    trace,
-                    inputs,
-                    clients=config.clients,
-                    time_scale=config.time_scale,
-                )
-            else:
-                result = await drive_open_loop_async(
-                    gateway, trace, inputs, time_scale=config.time_scale
-                )
-            cache = _cache_hit_rates(registry)
-        finally:
-            await gateway.close()
-        return result, cache
-
-    return asyncio.run(_run())
-
-
 def run_matrix(config: MatrixConfig, *, progress: Any = None) -> Dict[str, Any]:
     """Run every cell of the grid; returns the raw matrix result dict."""
+    from repro.obs.metrics import MetricsRegistry
+
     config.validate()
     sources, inputs = _build_zoo(config)
     traces = _render_traces(config)
+    closed_options = {"clients": config.clients} if config.mode == "closed" else {}
+    digests = {name: trace.digest() for name, trace in traces.items()}
     cells: List[Dict[str, Any]] = []
-    for scenario in config.scenarios:
-        trace = traces[scenario]
-        digest = trace.digest()
-        for policy in config.policies:
-            for backend in config.backends:
-                for frontdoor in config.frontdoors:
-                    for replicas in config.replicas:
-                        for queue_depth in config.queue_depths:
-                            drive = _drive_async if frontdoor == "async" else _drive_sync
-                            if progress is not None:
-                                progress(
-                                    f"{scenario} × {policy} × {backend} × "
-                                    f"{frontdoor} × r{replicas} × q{queue_depth}"
-                                )
-                            result, cache = drive(
-                                sources,
-                                inputs,
-                                trace,
-                                policy=policy,
-                                backend=backend,
-                                replicas=replicas,
-                                queue_depth=queue_depth,
-                                config=config,
-                            )
-                            cell = {
-                                "scenario": scenario,
-                                "policy": policy,
-                                "backend": backend,
-                                "frontdoor": frontdoor,
-                                "replicas": replicas,
-                                "queue_depth": queue_depth,
-                                "trace_sha256": digest,
-                                "cache_hit_rate": cache,
-                                **result.as_dict(),
-                            }
-                            cells.append(cell)
+    for scenario, policy, backend, frontdoor, replicas, queue_depth in itertools.product(
+        config.scenarios,
+        config.policies,
+        config.backends,
+        config.frontdoors,
+        config.replicas,
+        config.queue_depths,
+    ):
+        if progress is not None:
+            progress(
+                f"{scenario} × {policy} × {backend} × "
+                f"{frontdoor} × r{replicas} × q{queue_depth}"
+            )
+        models = {
+            name: dict(
+                source=blob,
+                replicas=replicas,
+                policy=policy,
+                replica_backend=backend,
+                max_queue_depth=queue_depth,
+                batch_size=config.batch_size,
+                max_batch_delay=config.max_batch_delay,
+            )
+            for name, blob in sources.items()
+        }
+        result, cache = drive_gateway(
+            models,
+            traces[scenario],
+            inputs,
+            frontdoor=frontdoor,
+            mode=config.mode,
+            metrics=MetricsRegistry(),
+            observe=_cache_hit_rates,
+            time_scale=config.time_scale,
+            **closed_options,
+        )
+        cells.append({
+            "scenario": scenario,
+            "policy": policy,
+            "backend": backend,
+            "frontdoor": frontdoor,
+            "replicas": replicas,
+            "queue_depth": queue_depth,
+            "trace_sha256": digests[scenario],
+            "cache_hit_rate": cache,
+            **result.as_dict(),
+        })
     return {
         "schema_version": MATRIX_SCHEMA_VERSION,
         "grid": {
@@ -482,7 +374,7 @@ def run_matrix(config: MatrixConfig, *, progress: Any = None) -> Dict[str, Any]:
             name: {
                 "requests": len(trace.requests),
                 "offered_rps": trace.offered_rps,
-                "sha256": trace.digest(),
+                "sha256": digests[name],
             }
             for name, trace in traces.items()
         },

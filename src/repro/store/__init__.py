@@ -24,6 +24,7 @@ from repro.store.archive import (
     ModelArchive,
     SegmentEntry,
     archive_bytes,
+    archive_input_dim,
     is_archive,
     manifest_from_dict,
     manifest_to_dict,
@@ -48,6 +49,7 @@ __all__ = [
     "ModelArchive",
     "SegmentEntry",
     "archive_bytes",
+    "archive_input_dim",
     "is_archive",
     "manifest_from_dict",
     "manifest_to_dict",

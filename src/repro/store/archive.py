@@ -60,6 +60,7 @@ __all__ = [
     "write_archive",
     "is_archive",
     "ModelArchive",
+    "archive_input_dim",
 ]
 
 #: Leading and trailing magic of a v2 archive.
@@ -633,3 +634,13 @@ class ModelArchive:
             f"<ModelArchive v{self._version} network={self._manifest.network!r} "
             f"layers={len(self._manifest.layers)} bytes={self.size}>"
         )
+
+
+def archive_input_dim(source: Union[str, Path, bytes]) -> int:
+    """The in-features of a chained archive's first fc layer (request width)."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        archive = ModelArchive.from_bytes(source)
+    else:
+        archive = ModelArchive.open(source)
+    with archive:
+        return int(archive.manifest.layers[archive.layer_names[0]].shape[1])

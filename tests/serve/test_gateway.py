@@ -22,7 +22,7 @@ from repro.serve import (
     RoundRobinPolicy,
     resolve_policy,
 )
-from repro.serve.bench import gateway_benchmark, serving_benchmark
+from repro.serve.bench import gateway_benchmark
 from repro.store import ModelStore
 from repro.utils.errors import GatewayOverloaded, ValidationError
 
@@ -729,9 +729,11 @@ class TestStopRestart:
 
 
 class TestGatewayBenchmarkHarness:
-    def test_smoke_run_shape_and_saturation(self, archive_blob):
+    @pytest.mark.parametrize("frontdoor", ["sync", "async"])
+    def test_smoke_run_shape_and_saturation(self, archive_blob, frontdoor):
         results = gateway_benchmark(
             {"a": archive_blob, "b": archive_blob},
+            frontdoor=frontdoor,
             replicas=2,
             clients=2,
             requests_per_client=8,
@@ -748,20 +750,3 @@ class TestGatewayBenchmarkHarness:
         assert saturation["offered"] == saturation["admitted"] + saturation["rejected"]
         assert saturation["rejected"] > 0
         assert saturation["queue_depth_limit"] == 2
-
-    def test_serving_benchmark_gateway_wiring(self, archive_blob):
-        results = serving_benchmark(
-            archive_blob,
-            concurrency=(1,),
-            accesses_per_thread=10,
-            warm_repeats=2,
-            gateway_replicas=(1, 2),
-            gateway_clients=2,
-            gateway_requests_per_client=6,
-        )
-        sweep = results["gateway"]
-        assert set(sweep) == {"1", "2"}
-        assert all(point["throughput_rps"] > 0 for point in sweep.values())
-        # The saturation probe runs once, at the largest pool.
-        assert "saturation" not in sweep["1"]
-        assert sweep["2"]["saturation"]["rejected"] > 0

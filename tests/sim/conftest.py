@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve.bench import archive_input_dim
+from repro.store import archive_input_dim
 
 #: Chained MLP small enough that add_model + start is milliseconds.
 TINY_SPEC = "fc6=24x32:0.2,fc7=12x24:0.2"

@@ -9,7 +9,10 @@ misses under an impossible budget), never about absolute speed.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.serve.async_gateway import AsyncGateway
@@ -34,6 +37,58 @@ def _trace(*, deadline_s=None, rate=120.0, duration=0.4, seed=2):
         seed=seed,
         deadline_s=deadline_s,
     )
+
+
+class GatedNetwork:
+    """Forward passes block until ``gate`` is set: a replica held busy on
+    purpose, so overload and queueing are certain instead of timed."""
+
+    def __init__(self, gate: threading.Event):
+        self.gate = gate
+
+    def set_weights(self, name, weights):
+        pass
+
+    def set_sparse_weights(self, name, weight):
+        pass
+
+    def forward(self, x, training=False):
+        assert self.gate.wait(timeout=30), "test never opened the gate"
+        return np.zeros((x.shape[0], 4), dtype=np.float32)
+
+
+class OpenGateAfter:
+    """``submit`` proxy that opens ``gate`` right after the ``count``-th
+    submit returns or raises, so no request completes before the last one
+    of the trace has been offered."""
+
+    def __init__(self, gateway, gate: threading.Event, count: int):
+        self._gateway = gateway
+        self._gate = gate
+        self._left = count
+
+    def submit(self, model, x, *, key=None):
+        try:
+            return self._gateway.submit(model, x, key=key)
+        finally:
+            self._left -= 1
+            if self._left == 0:
+                self._gate.set()
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting for the gateway"
+        time.sleep(0.002)
+
+
+def _gated(gateway, tiny_archive, gate, **options):
+    gateway.add_model(
+        "tiny", tiny_archive, replicas=1, max_concurrency=1, batch_size=1,
+        network_factory=lambda: GatedNetwork(gate), **options,
+    )
+    return gateway
 
 
 @pytest.fixture
@@ -89,22 +144,57 @@ class TestSyncDrivers:
             drive_open_loop(gateway, _trace(), {})
 
     def test_overload_counts_rejections(self, tiny_archive, tiny_input):
-        gw = Gateway()
-        gw.add_model(
-            "tiny", tiny_archive, replicas=1, max_queue_depth=1,
-            max_concurrency=1, batch_size=1,
-        )
+        gate = threading.Event()
+        gw = _gated(Gateway(), tiny_archive, gate, max_queue_depth=1)
         gw.start()
         try:
-            # 50 requests in ~50ms against a depth-1 queue: some must be
-            # fast-failed by admission control.
+            # The first request holds the only slot and the second the only
+            # queue place until the last submit opens the gate: every other
+            # request must be fast-failed by admission control.
             trace = _trace(rate=1000.0, duration=0.05, seed=7)
-            result = drive_open_loop(gw, trace, {"tiny": tiny_input})
+            proxy = OpenGateAfter(gw, gate, len(trace.requests))
+            result = drive_open_loop(proxy, trace, {"tiny": tiny_input})
         finally:
+            gate.set()
             gw.close()
-        assert result.rejected > 0
+        assert result.rejected == result.offered - 2
         assert result.rejection_rate == result.rejected / result.offered
         assert result.completed + result.rejected + result.failures == result.offered
+
+    def test_closed_loop_burst_keeps_clients_times_burst_outstanding(
+        self, tiny_archive, tiny_input
+    ):
+        clients, burst = 3, 4
+        gate = threading.Event()
+        gw = _gated(Gateway(), tiny_archive, gate, max_queue_depth=64)
+        gw.start()
+        try:
+            trace = _trace(rate=200.0, duration=0.2, seed=3)
+            outcome = []
+            runner = threading.Thread(
+                target=lambda: outcome.append(drive_closed_loop(
+                    gw, trace, {"tiny": tiny_input}, clients=clients, burst=burst,
+                )),
+            )
+            runner.start()
+            _wait_for(lambda: gw.stats().submitted >= clients * burst)
+            held = gw.stats()
+            gate.set()
+            runner.join(timeout=30)
+        finally:
+            gate.set()
+            gw.close()
+        # One request in service, the rest parked; nothing has completed.
+        assert held.submitted == clients * burst
+        assert held.completed == 0
+        assert held.models["tiny"].queue_depth == clients * burst - 1
+        (result,) = outcome
+        assert len(trace.requests) > clients * burst
+        assert result.completed == result.offered == len(trace.requests)
+
+    def test_closed_loop_rejects_bad_burst(self, gateway, tiny_input):
+        with pytest.raises(ValidationError, match="burst"):
+            drive_closed_loop(gateway, _trace(), {"tiny": tiny_input}, burst=0)
 
 
 class TestAsyncDrivers:
@@ -162,3 +252,35 @@ class TestAsyncDrivers:
         settled = result.completed + result.rejected + result.expired + result.failures
         assert settled == result.offered
         assert result.completed > 0
+
+    def test_closed_loop_burst_keeps_clients_times_burst_outstanding(
+        self, tiny_archive, tiny_input
+    ):
+        clients, burst = 3, 4
+        gate = threading.Event()
+        trace = _trace(rate=200.0, duration=0.2, seed=3)
+
+        async def _main():
+            gw = _gated(AsyncGateway(), tiny_archive, gate, max_queue_depth=64)
+            await gw.start()
+            try:
+                run = asyncio.ensure_future(drive_closed_loop_async(
+                    gw, trace, {"tiny": tiny_input}, clients=clients, burst=burst,
+                ))
+                deadline = time.monotonic() + 10.0
+                while gw.stats().submitted < clients * burst:
+                    assert time.monotonic() < deadline, "burst never admitted"
+                    await asyncio.sleep(0.002)
+                held = gw.stats()
+                gate.set()
+                return held, await run
+            finally:
+                gate.set()
+                await gw.close()
+
+        held, result = asyncio.run(_main())
+        assert held.submitted == clients * burst
+        assert held.completed == 0
+        assert held.models["tiny"].queue_depth == clients * burst - 1
+        assert len(trace.requests) > clients * burst
+        assert result.completed == result.offered == len(trace.requests)
