@@ -6,13 +6,15 @@
   over a memory-mapped ``.dsz`` archive with prefetch on the shared task
   pool;
 * :mod:`repro.serve.server` — :class:`Server`, the dynamic-batching
-  inference front-end with throughput / latency-percentile reporting;
+  inference front-end with throughput / latency-percentile reporting, and
+  :func:`~repro.serve.server.serve_batches`, the one replica batching
+  loop (batch policy, forward pass, replica spans) both backends run;
 * :mod:`repro.serve.shm` — :class:`SharedWeightStore` /
   :class:`SharedRuntime`, the once-per-host shared-memory weight cache:
   decode a model's layers into one ``multiprocessing.shared_memory``
   segment and reconstruct zero-copy read-only views in worker processes;
 * :mod:`repro.serve.worker` — :class:`ProcessServer`, the process-backed
-  replica: a worker process running the dynamic-batching loop over pipes,
+  replica: a worker process running that same batching loop over pipes,
   with crash containment (:class:`~repro.utils.errors.ReplicaCrashed`) and
   automatic respawn;
 * :mod:`repro.serve.gateway` — :class:`Gateway`, the multi-model,

@@ -4,21 +4,28 @@ The :class:`Server` completes the paper's edge scenario: after the archive
 arrives and the :class:`~repro.serve.runtime.ModelRuntime` decodes the fc
 layers on demand, something must actually answer inference requests.  The
 server accepts single-sample requests from any number of client threads,
-coalesces them into batches (dynamic batching: a batch closes when it is
-full *or* when the oldest request has waited ``max_batch_delay``), runs one
-forward pass per batch on the NumPy network, and resolves each request's
-future with its probability row.
+coalesces them into batches, runs one forward pass per batch on the NumPy
+network, and resolves each request's future with its probability row.
+
+The batching itself is :func:`serve_batches`, the one replica loop both
+backends run: this thread ``Server`` and the process worker
+(:mod:`repro.serve.worker`).  A batch closes when it is full *or* when its
+oldest request has waited ``max_batch_delay`` since it arrived.  The loop
+also owns the stacked forward pass and the replica span tree, so the two
+backends cannot drift apart; each supplies only its inbox and a ``reply``
+callback.
 
 The forward pass is whatever the network's fc layers are running: dense
 BLAS matmuls, or — when the weights were installed from a sparse-mode
 :class:`~repro.serve.runtime.ModelRuntime` — compressed-domain CSC matmuls
 that exploit the pruned layers' ~10% density batch after batch.
 
-Per-request latency (submit to result) and batch sizes are recorded in a
-bounded :class:`~repro.obs.metrics.Histogram` (log-scale buckets plus a
-seeded reservoir — flat memory under sustained load, unlike the unbounded
-lists it replaced), and :meth:`Server.stats` reports throughput plus
-latency percentiles — the numbers ``python -m repro serve-bench`` and
+Per-request latency (submit to result) lands in a bounded
+:class:`~repro.obs.metrics.Histogram` (log-scale buckets plus a seeded
+reservoir — flat memory under sustained load), and :meth:`Server.stats`
+reports throughput, batch counts and latency percentiles through
+:meth:`ServerStats.from_run`, the one stats constructor both backends share —
+the numbers ``python -m repro serve-bench`` and
 ``benchmarks/bench_serving.py`` publish.
 
 Requests submitted with a live trace span (see :mod:`repro.obs.trace`) get
@@ -34,31 +41,18 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.lint.lockcheck import make_lock
 from repro.obs import profile
 from repro.obs.metrics import Histogram
-from repro.obs.trace import Span
+from repro.obs.trace import Span, span_dict
 from repro.serve.runtime import ModelRuntime
 from repro.utils.errors import ValidationError
 
-__all__ = ["ServerStats", "Server", "latency_percentiles"]
-
-_PERCENTILES = (50.0, 90.0, 99.0)
-
-
-def latency_percentiles(latencies_s: Sequence[float]) -> Dict[str, float]:
-    """p50/p90/p99 of per-request latencies, in milliseconds.
-
-    The one formatting of latency distributions every serving stats surface
-    (server, gateway models, gateway aggregate) reports."""
-    if not latencies_s:
-        return {}
-    values = np.percentile(np.asarray(latencies_s) * 1e3, _PERCENTILES)
-    return {f"p{int(p)}": float(v) for p, v in zip(_PERCENTILES, values)}
+__all__ = ["Pending", "ServerStats", "Server", "serve_batches", "settle_batch"]
 
 
 @dataclass
@@ -72,6 +66,32 @@ class ServerStats:
     latencies_ms: Dict[str, float] = field(default_factory=dict)
     mean_batch_size: float = 0.0
 
+    @classmethod
+    def from_run(
+        cls,
+        latencies: Histogram,
+        *,
+        batches: int,
+        batch_items: int,
+        failures: int,
+        started_at: float,
+        stopped_at: Optional[float],
+    ) -> "ServerStats":
+        """Stats of one run from its raw counters (both backends call this).
+
+        ``started_at``/``stopped_at`` are ``perf_counter`` stamps; a run
+        that is still live measures its elapsed time up to now.
+        """
+        end = stopped_at if stopped_at is not None else time.perf_counter()
+        return cls(
+            requests=latencies.count,
+            batches=batches,
+            failures=failures,
+            elapsed_seconds=max(end - started_at, 0.0) if started_at else 0.0,
+            latencies_ms=latencies.percentiles(scale=1e3),
+            mean_batch_size=batch_items / batches if batches else 0.0,
+        )
+
     @property
     def throughput_rps(self) -> float:
         return self.requests / self.elapsed_seconds if self.elapsed_seconds else 0.0
@@ -82,13 +102,154 @@ class ServerStats:
         return out
 
 
-@dataclass
-class _Request:
-    x: np.ndarray
+class Pending(NamedTuple):
+    """An accepted request awaiting its batch, as either backend books it."""
+
     future: Future
-    enqueued: float
-    span: Optional[Span] = None  # gateway-side root; None for untraced requests
-    wall_enqueued: float = 0.0  # wall clock, only captured when traced
+    arrived: float  # perf_counter at submit: the latency clock's start
+    span: Optional[Span]  # gateway-side root; None for untraced requests
+
+
+def settle_batch(
+    requests: Sequence[Pending],
+    outputs: Sequence[Optional[np.ndarray]],
+    error: Optional[BaseException],
+    spans: Sequence[dict],
+) -> None:
+    """Export a batch's replica spans, then resolve its requests' futures.
+
+    The last step of both backends' batch replies: each future gets its
+    ``outputs`` row, or ``error`` when the batch failed.
+    """
+    if spans:
+        # The gateway runs one tracer, so any traced request's is *the* one.
+        tracer = next((r.span.tracer for r in requests if r.span is not None), None)
+        if tracer is not None:
+            tracer.export_dicts(spans)
+    for position, request in enumerate(requests):
+        if error is not None:
+            request.future.set_exception(error)
+        else:
+            request.future.set_result(outputs[position])
+
+
+def serve_batches(
+    inbox: "queue.SimpleQueue[Optional[tuple]]",
+    network,
+    batch_size: int,
+    max_batch_delay: float,
+    reply: Callable[..., None],
+    profiled: bool = False,
+) -> None:
+    """The replica batching loop: batch, forward, span, reply — until ``None``.
+
+    ``inbox`` carries ``(key, sample, trace_ctx, arrived, wall_arrived)``
+    tuples: ``key`` is the backend's handle for the request, ``trace_ctx``
+    the gateway-side root's :meth:`~repro.obs.trace.Span.context` (``None``
+    when untraced), ``arrived`` a ``perf_counter`` stamp and
+    ``wall_arrived`` a ``time.time()`` one (read only for traced requests).
+    A ``None`` item stops the loop after the batch it ends.
+
+    A batch closes when it holds ``batch_size`` requests or when its oldest
+    request has waited ``max_batch_delay`` since it *arrived*; past that
+    deadline only requests already queued (backlog built up during the
+    previous forward pass) still join — only *waiting* for more is bounded.
+
+    Each batch runs one stacked forward pass.  Decode-on-demand weight
+    fetches are collected, and the pass timed, only when a request in the
+    batch is traced or ``profiled`` is set.  Every traced request gets the
+    same sub-tree under its root: ``replica.queue`` (arrival → batch
+    assembled) and ``replica.batch`` (assembled → forward done) as
+    siblings, ``replica.forward`` under the batch, and one
+    ``replica.decode`` per fetch under the forward span.  Batch-level spans
+    are duplicated per traced request so each trace tree stays complete on
+    its own.
+
+    Every batch ends in exactly one ``reply(keys, outputs, error, spans,
+    forward_ns, fetches)`` call: ``outputs`` rows align with ``keys`` on
+    success; on a failed pass ``error`` is the exception and ``outputs``,
+    ``forward_ns`` and ``fetches`` are ``None`` with no spans.
+    """
+    stopping = False
+    while not stopping:
+        first = inbox.get()
+        if first is None:
+            return
+        batch = [first]
+        deadline = first[3] + max_batch_delay
+        while len(batch) < batch_size:
+            remaining = deadline - time.perf_counter()
+            try:
+                if remaining > 0:
+                    item = inbox.get(timeout=remaining)
+                else:
+                    item = inbox.get_nowait()
+            except queue.Empty:
+                break
+            if item is None:
+                stopping = True
+                break
+            batch.append(item)
+        keys = [item[0] for item in batch]
+        traced = [item for item in batch if item[2] is not None]
+        forward_ns: Optional[int] = None
+        fetches: Optional[List[profile.FetchRecord]] = None
+        try:
+            inputs = np.stack([item[1] for item in batch])
+            if traced or profiled:
+                assembled_s = time.time()
+                tick = time.perf_counter()
+                with profile.collect_fetches() as fetches:
+                    outputs = np.asarray(network.forward(inputs, training=False))
+                forward_ns = int((time.perf_counter() - tick) * 1e9)
+                forward_end_s = time.time()
+            else:
+                outputs = np.asarray(network.forward(inputs, training=False))
+        except BaseException as exc:  # propagate to every caller in the batch
+            reply(keys, None, exc, [], None, None)
+            continue
+        spans: List[dict] = []
+        for _key, _x, ctx, _arrived, wall_arrived in traced:
+            trace_id, root_id = ctx["trace_id"], ctx["span_id"]
+            spans.append(
+                span_dict(
+                    "replica.queue",
+                    trace_id=trace_id,
+                    parent_id=root_id,
+                    start_s=wall_arrived,
+                    end_s=assembled_s,
+                )
+            )
+            batch_span = span_dict(
+                "replica.batch",
+                trace_id=trace_id,
+                parent_id=root_id,
+                start_s=assembled_s,
+                end_s=forward_end_s,
+                attrs={"batch_size": len(batch)},
+            )
+            spans.append(batch_span)
+            # Forward wall start ≈ batch assembled: one clock read for both.
+            forward = span_dict(
+                "replica.forward",
+                trace_id=trace_id,
+                parent_id=batch_span["span_id"],
+                start_s=assembled_s,
+                end_s=forward_end_s,
+            )
+            spans.append(forward)
+            for layer, fetch_start, fetch_end in fetches:
+                spans.append(
+                    span_dict(
+                        "replica.decode",
+                        trace_id=trace_id,
+                        parent_id=forward["span_id"],
+                        start_s=fetch_start,
+                        end_s=fetch_end,
+                        attrs={"layer": layer},
+                    )
+                )
+        reply(keys, outputs, None, spans, forward_ns, fetches)
 
 
 class Server:
@@ -106,7 +267,8 @@ class Server:
     batch_size:
         Maximum requests folded into one forward pass.
     max_batch_delay:
-        Seconds the oldest queued request may wait for the batch to fill.
+        Seconds the oldest queued request may wait, since its arrival,
+        for the batch to fill (see :func:`serve_batches`).
     """
 
     def __init__(
@@ -125,7 +287,7 @@ class Server:
         self._runtime = runtime
         self._batch_size = int(batch_size)
         self._max_batch_delay = float(max_batch_delay)
-        self._queue: "queue.SimpleQueue[Optional[_Request]]" = queue.SimpleQueue()
+        self._queue: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
         self._worker: Optional[threading.Thread] = None
         self._running = False
         self._lock = make_lock("serve.server.state")
@@ -169,8 +331,20 @@ class Server:
             self._inflight = 0
             self._started_at = time.perf_counter()
             self._stopped_at = None
+            # The loop exits only by consuming the shutdown sentinel: stop()
+            # enqueues it atomically with the _running flip, so every
+            # accepted request is ahead of it and gets processed first.
             self._worker = threading.Thread(
-                target=self._serve_loop, name="repro-serve", daemon=True
+                target=serve_batches,
+                args=(
+                    self._queue,
+                    self._network,
+                    self._batch_size,
+                    self._max_batch_delay,
+                    self._reply,
+                ),
+                name="repro-serve",
+                daemon=True,
             )
             self._worker.start()
         return self
@@ -207,12 +381,14 @@ class Server:
         root): when present the batching loop emits queue/batch/forward/
         decode child spans for this request.
         """
-        request = _Request(
-            x=np.asarray(x, dtype=np.float32),
-            future=Future(),
-            enqueued=time.perf_counter(),
-            span=span,
-            wall_enqueued=time.time() if span is not None else 0.0,
+        future: Future = Future()
+        arrived = time.perf_counter()
+        request = (
+            Pending(future, arrived, span),
+            np.asarray(x, dtype=np.float32),
+            span.context() if span is not None else None,
+            arrived,
+            time.time() if span is not None else 0.0,
         )
         # The running check and the put are one atomic step: stop() enqueues
         # its sentinel under the same lock, so a request can never land
@@ -223,7 +399,7 @@ class Server:
                 raise ValidationError("server is not running (call start())")
             self._inflight += 1
             self._queue.put(request)
-        return request.future
+        return future
 
     def submit_many(self, xs: Sequence[np.ndarray]) -> List[Future]:
         """Enqueue a sequence of samples, one future per sample.
@@ -242,107 +418,19 @@ class Server:
         """Synchronous single-sample top-1 class."""
         return int(np.argmax(self.infer(x, timeout=timeout)))
 
-    # -- batching loop -----------------------------------------------------
-    def _serve_loop(self) -> None:
-        # The worker exits only by consuming the shutdown sentinel: stop()
-        # enqueues it atomically with the _running flip, so every accepted
-        # request is ahead of it and gets processed before the exit.
-        while True:
-            first = self._queue.get()
-            if first is None:
-                return
-            batch = [first]
-            deadline = first.enqueued + self._max_batch_delay
-            stop_after = False
-            while len(batch) < self._batch_size:
-                remaining = deadline - time.perf_counter()
-                try:
-                    # Past the deadline, still drain whatever is already
-                    # queued (backlog built up during the previous forward
-                    # pass) — only *waiting* for more requests is bounded
-                    # by the delay budget.
-                    if remaining > 0:
-                        item = self._queue.get(timeout=remaining)
-                    else:
-                        item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None:
-                    stop_after = True
-                    break
-                batch.append(item)
-            self._run_batch(batch)
-            if stop_after:
-                return
-
-    def _run_batch(self, batch: Sequence[_Request]) -> None:
-        traced = [req for req in batch if req.span is not None]
-        wall_assembled = time.time() if traced else 0.0
-        fetches: List[profile.FetchRecord] = []
-        try:
-            inputs = np.stack([req.x for req in batch])
-            if traced:
-                # A traced batch collects (layer, start, end) for every
-                # decode-on-demand weight fetch the forward pass triggers.
-                with profile.collect_fetches() as fetches:
-                    wall_fwd_start = time.time()
-                    probs = self._network.forward(inputs, training=False)
-                    wall_fwd_end = time.time()
-            else:
-                probs = self._network.forward(inputs, training=False)
-        except BaseException as exc:  # propagate to every caller in the batch
-            done = time.perf_counter()
-            with self._lock:
-                self._failures += len(batch)
-            for req in batch:
-                self._record_latency(req, done)
-                req.future.set_exception(exc)
-            return
+    # -- batch replies -----------------------------------------------------
+    def _reply(self, keys, outputs, error, spans, _forward_ns, _fetches) -> None:
+        """:func:`serve_batches` callback: book the batch, resolve futures."""
         done = time.perf_counter()
         with self._lock:
             self._batches += 1
-            self._batch_items += len(batch)
-        if traced:
-            self._emit_spans(
-                traced, len(batch), wall_assembled, wall_fwd_start, wall_fwd_end, fetches
-            )
-        for req, row in zip(batch, probs):
-            self._record_latency(req, done)
-            req.future.set_result(row)
-
-    @staticmethod
-    def _emit_spans(
-        traced: Sequence[_Request],
-        batch_size: int,
-        assembled_s: float,
-        fwd_start_s: float,
-        fwd_end_s: float,
-        fetches: Sequence[profile.FetchRecord],
-    ) -> None:
-        """Per traced request: queue → batch → forward (+ per-layer decode).
-
-        Decode spans are duplicated into every traced tree of the batch —
-        each request's tree stays complete on its own, which is what trace
-        tooling (and the CI validator) consume.
-        """
-        for req in traced:
-            queue_span = req.span.child("replica.queue", start_s=req.wall_enqueued)
-            queue_span.finish(assembled_s)
-            batch_span = req.span.child(
-                "replica.batch", start_s=assembled_s, attrs={"batch_size": batch_size}
-            )
-            forward = batch_span.child("replica.forward", start_s=fwd_start_s)
-            for layer, fetch_start, fetch_end in fetches:
-                forward.child(
-                    "replica.decode", start_s=fetch_start, attrs={"layer": layer}
-                ).finish(fetch_end)
-            forward.finish(fwd_end_s)
-            batch_span.finish(fwd_end_s)
-
-    def _record_latency(self, req: _Request, done: float) -> None:
-        with self._lock:
-            self._latency_hist.observe(done - req.enqueued)
-            self._inflight -= 1
+            self._batch_items += len(keys)
+            if error is not None:
+                self._failures += len(keys)
+            for request in keys:
+                self._latency_hist.observe(done - request.arrived)
+            self._inflight -= len(keys)
+        settle_batch(keys, outputs, error, spans)
 
     @property
     def inflight(self) -> int:
@@ -353,26 +441,14 @@ class Server:
         with self._lock:
             return self._inflight
 
-    def latency_histogram(self) -> Histogram:
-        """A consistent snapshot of the bounded latency histogram (seconds)."""
-        with self._lock:
-            return self._latency_hist.copy()
-
     # -- statistics --------------------------------------------------------
     def stats(self) -> ServerStats:
         with self._lock:
-            requests = self._latency_hist.count
-            percentiles = self._latency_hist.percentiles(scale=1e3)
-            batches = self._batches
-            batch_items = self._batch_items
-            failures = self._failures
-        end = self._stopped_at if self._stopped_at is not None else time.perf_counter()
-        elapsed = max(end - self._started_at, 0.0) if self._started_at else 0.0
-        return ServerStats(
-            requests=requests,
-            batches=batches,
-            failures=failures,
-            elapsed_seconds=elapsed,
-            latencies_ms=percentiles,
-            mean_batch_size=batch_items / batches if batches else 0.0,
-        )
+            return ServerStats.from_run(
+                self._latency_hist,
+                batches=self._batches,
+                batch_items=self._batch_items,
+                failures=self._failures,
+                started_at=self._started_at,
+                stopped_at=self._stopped_at,
+            )

@@ -9,14 +9,15 @@ interpreter's GIL.  A *process* replica moves the hot loop out:
   (:class:`~repro.serve.shm.SharedRuntime` — no archive read, no codec
   pass, no private weight copy), builds the serving network (the default
   :class:`~repro.serve.gateway.ArchiveMLP`, or a picklable
-  ``network_factory``), and runs a dynamic-batching loop over the
-  requests a reader thread drains off the request pipe: a batch closes
-  when it is full or when the oldest request has waited
-  ``max_batch_delay`` — the same policy as the in-process
-  :class:`~repro.serve.server.Server` — then one forward pass answers the
-  whole batch with a single response message.  Because the pipe is always
-  drained, a parent-side send never waits on the worker's response writes,
-  so one parent thread may both send requests and read responses.
+  ``network_factory``), and runs :func:`~repro.serve.server.serve_batches`
+  — the one batching loop the in-process
+  :class:`~repro.serve.server.Server` runs too — over the requests a
+  reader thread drains off the request pipe: a batch closes when it is
+  full or when the oldest request has waited ``max_batch_delay`` since the
+  reader received it, then one forward pass answers the whole batch with a
+  single response message.  Because the pipe is always drained, a
+  parent-side send never waits on the worker's response writes, so one
+  parent thread may both send requests and read responses.
 * :class:`ProcessServer` is the parent-side handle with the same surface a
   :class:`~repro.serve.gateway.Replica` expects from a ``Server``
   (``start/stop/submit/infer/inflight/stats``), so the gateway's dispatch,
@@ -32,9 +33,9 @@ worker single-writes and the parent reads live), created at :meth:`start`
 and unlinked at :meth:`stop` — same per-run lifecycle as the weight
 segment.  Per-request latency lands in a bounded
 :class:`~repro.obs.metrics.Histogram`.  A request submitted with a live
-trace span ships its span *context* to the worker, which builds
-queue/batch/forward/decode span dicts with wall-clock timestamps and
-returns them piggybacked on the response batch; the parent exports them
+trace span ships its span *context* to the worker, whose batching loop
+builds queue/batch/forward/decode span dicts with wall-clock timestamps,
+returned piggybacked on the response batch; the parent exports them
 through the span's tracer, stitching worker-process spans under the
 gateway-side root (see :mod:`repro.obs.trace`).
 
@@ -70,11 +71,10 @@ import numpy as np
 
 from repro.lint.lockcheck import make_lock
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile
 from repro.obs.log import get_logger
 from repro.obs.metrics import Histogram, MetricsBlock
-from repro.obs.trace import Span, span_dict
-from repro.serve.server import ServerStats
+from repro.obs.trace import Span
+from repro.serve.server import Pending, ServerStats, serve_batches, settle_batch
 from repro.utils.errors import ReplicaCrashed, ValidationError
 
 __all__ = [
@@ -152,75 +152,22 @@ def _send_safely(conn, message) -> None:
         _log.debug("response pipe send failed (parent gone?)", exc_info=True)
 
 
-def _batch_spans(batch, assembled_s, fwd_start_s, fwd_end_s, fetches) -> List[dict]:
-    """Span dicts for every traced request in one worker batch.
-
-    Each traced request gets the same sub-tree under its gateway-side root:
-    ``replica.queue`` (pipe recv → batch assembled) and ``replica.batch``
-    (assembled → forward done) as siblings, ``replica.forward`` under the
-    batch span, and one ``replica.decode`` per weight fetch under the
-    forward span.  Batch-level work is shared, so its spans are duplicated
-    per traced request — each trace tree stays self-contained.
-    """
-    spans: List[dict] = []
-    size = len(batch)
-    for _req_id, _x, ctx, recv_s in batch:
-        if ctx is None:
-            continue
-        trace_id, root_id = ctx["trace_id"], ctx["span_id"]
-        spans.append(
-            span_dict(
-                "replica.queue",
-                trace_id=trace_id,
-                parent_id=root_id,
-                start_s=recv_s,
-                end_s=assembled_s,
-            )
-        )
-        batch_span = span_dict(
-            "replica.batch",
-            trace_id=trace_id,
-            parent_id=root_id,
-            start_s=assembled_s,
-            end_s=fwd_end_s,
-            attrs={"batch_size": size},
-        )
-        spans.append(batch_span)
-        forward = span_dict(
-            "replica.forward",
-            trace_id=trace_id,
-            parent_id=batch_span["span_id"],
-            start_s=fwd_start_s,
-            end_s=fwd_end_s,
-        )
-        spans.append(forward)
-        for layer, fetch_start, fetch_end in fetches or ():
-            spans.append(
-                span_dict(
-                    "replica.decode",
-                    trace_id=trace_id,
-                    parent_id=forward["span_id"],
-                    start_s=fetch_start,
-                    end_s=fetch_end,
-                    attrs={"layer": layer},
-                )
-            )
-    return spans
-
-
 def _pump_requests(request_conn, inbox) -> None:
-    """Worker reader thread: request pipe → batching inbox.
+    """Worker reader thread: request pipe → :func:`serve_batches` inbox.
 
-    Each request is stamped with its receive time (the ``replica.queue``
-    span start).  The stop sentinel, or a parent gone mid-pipe, ends the
-    pump with ``None``.
+    Each request is stamped with its receive time: the batch deadline runs
+    from it, and for a traced request it starts the ``replica.queue`` span.
+    The stop sentinel, or a parent gone mid-pipe, ends the pump with
+    ``None``.
     """
     try:
         while True:
             message = request_conn.recv()
             if message is None:
                 break
-            inbox.put((message[0], message[1], message[2], time.time()))
+            req_id, sample, ctx = message
+            wall = time.time() if ctx is not None else 0.0
+            inbox.put((req_id, sample, ctx, time.perf_counter(), wall))
     except (EOFError, OSError):  # parent died; the batching loop winds down
         pass
     inbox.put(None)
@@ -258,80 +205,50 @@ def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
     threading.Thread(
         target=_pump_requests, args=(request_conn, inbox), daemon=True
     ).start()
-    try:
-        stopping = False
-        while not stopping:
-            message = inbox.get()
-            if message is None:
-                break
-            batch = [message]
-            deadline = time.perf_counter() + spec.max_batch_delay
-            while len(batch) < spec.batch_size:
-                # Past the deadline, still drain what has already arrived
-                # (backlog from the previous forward pass); only *waiting*
-                # for more requests is bounded by the delay.
-                try:
-                    message = inbox.get(timeout=max(0.0, deadline - time.perf_counter()))
-                except queue.Empty:
-                    break
-                if message is None:
-                    stopping = True
-                    break
-                batch.append(message)
-            ids = [req_id for req_id, _, _, _ in batch]
-            traced = any(ctx is not None for _, _, ctx, _ in batch)
-            profiled = block is not None and obs_metrics.is_enabled()
-            fetches: Optional[List[profile.FetchRecord]] = None
-            try:
-                inputs = np.stack([x for _, x, _, _ in batch])
-                if traced or profiled:
-                    assembled_s = time.time()
-                    fwd_tick = time.perf_counter()
-                    with profile.collect_fetches() as fetches:
-                        outputs = np.asarray(network.forward(inputs, training=False))
-                    forward_ns = int((time.perf_counter() - fwd_tick) * 1e9)
-                    fwd_end_s = time.time()
-                else:
-                    outputs = np.asarray(network.forward(inputs, training=False))
-            except BaseException as exc:
-                try:
-                    response_conn.send(("err", ids, exc, []))
-                except Exception:
-                    # The exception object itself would not pickle; say so
-                    # (otherwise a custom exception type degrades to a bare
-                    # string parent-side with no hint why) and fall back to
-                    # the stringified form.
-                    _log.debug(
-                        "worker %s: error response for %r did not pickle; "
-                        "sending stringified form",
-                        spec.replica_id,
-                        type(exc).__name__,
-                        exc_info=True,
-                    )
-                    _send_safely(
-                        response_conn,
-                        ("err", ids, f"{type(exc).__name__}: {exc}", []),
-                    )
-                continue
-            finally:
-                if block is not None:
-                    block.add("batches", 1)
-                    block.add("batch_items", len(ids))
-            spans: List[dict] = []
-            if traced or profiled:
-                if block is not None:
-                    block.add("forward_ns", forward_ns)
-                    block.add("forward_count", 1)
-                    if fetches:
-                        fetch_ns = sum(end - start for _, start, end in fetches)
-                        block.add("fetch_ns", int(fetch_ns * 1e9))
-                        block.add("fetch_count", len(fetches))
-                if traced:
-                    # Forward wall start ≈ assembly end; one clock for spans.
-                    spans = _batch_spans(
-                        batch, assembled_s, assembled_s, fwd_end_s, fetches
-                    )
+
+    def reply(ids, outputs, error, spans, forward_ns, fetches) -> None:
+        # Counters land before the response goes out, so a parent that
+        # sees the batch resolve also sees it counted.
+        if block is not None:
+            block.add("batches", 1)
+            block.add("batch_items", len(ids))
+            if forward_ns is not None:
+                block.add("forward_ns", forward_ns)
+                block.add("forward_count", 1)
+                if fetches:
+                    fetch_ns = sum(end - start for _, start, end in fetches)
+                    block.add("fetch_ns", int(fetch_ns * 1e9))
+                    block.add("fetch_count", len(fetches))
+        if error is None:
             _send_safely(response_conn, ("ok", ids, outputs, spans))
+            return
+        try:
+            response_conn.send(("err", ids, error, []))
+        except Exception:
+            # The exception object itself would not pickle; say so
+            # (otherwise a custom exception type degrades to a bare string
+            # parent-side with no hint why) and fall back to the
+            # stringified form.
+            _log.debug(
+                "worker %s: error response for %r did not pickle; "
+                "sending stringified form",
+                spec.replica_id,
+                type(error).__name__,
+                exc_info=True,
+            )
+            _send_safely(
+                response_conn, ("err", ids, f"{type(error).__name__}: {error}", [])
+            )
+
+    try:
+        serve_batches(
+            inbox,
+            network,
+            spec.batch_size,
+            spec.max_batch_delay,
+            reply,
+            profiled=block is not None and obs_metrics.is_enabled(),
+        )
         _send_safely(response_conn, ("bye",))
     except (EOFError, OSError):  # parent died; exit quietly
         pass
@@ -344,13 +261,6 @@ def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
 # ---------------------------------------------------------------------------
 # parent-side handle
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Pending:
-    future: Future
-    enqueued: float
-    span: Optional[Span] = None
 
 
 @dataclass
@@ -369,7 +279,7 @@ class _Link:
     response_conn: object
     shared_bytes: int = 0
     generation: int = 0
-    pending: Dict[int, _Pending] = field(default_factory=dict)
+    pending: Dict[int, Pending] = field(default_factory=dict)
     send_lock: object = field(default_factory=lambda: make_lock("serve.worker.send"))
     closed: bool = False
 
@@ -593,7 +503,9 @@ class ProcessServer:
             if link.process.is_alive():  # pragma: no cover - hung worker
                 link.process.terminate()
                 link.process.join(timeout=10.0)
-            self._fail_pending(link, "replica worker stopped with requests pending")
+            self._resolve(
+                link, error=ReplicaCrashed("replica worker stopped with requests pending")
+            )
             self._close_link(link)
         with self._lock:
             block, self._metrics = self._metrics, None
@@ -634,7 +546,7 @@ class ProcessServer:
             link = self._link
             req_id = self._next_id
             self._next_id += 1
-            link.pending[req_id] = _Pending(future, time.perf_counter(), span)
+            link.pending[req_id] = Pending(future, time.perf_counter(), span)
         with self._inflight.get_lock():
             self._inflight.value += 1
         # The pipe write happens outside the state lock: it can block on a
@@ -893,61 +805,37 @@ class ProcessServer:
                 self._link = replacement
         if stale is not None:
             self._close_link(stale, terminate=True)
-        self._fail_pending(
+        self._resolve(
             link,
-            f"replica {self._replica_id} worker died (exit code {exit_code}) "
-            f"with the request in flight",
+            error=ReplicaCrashed(
+                f"replica {self._replica_id} worker died (exit code {exit_code}) "
+                f"with the request in flight"
+            ),
         )
         self._close_link(link, terminate=True)
         return replacement
 
-    def _fail_pending(self, link: _Link, reason: str) -> None:
-        with self._lock:
-            pending = list(link.pending.values())
-            link.pending.clear()
-            done = time.perf_counter()
-            for item in pending:
-                self._latency_hist.observe(done - item.enqueued)
-            self._failures += len(pending)
-        if pending:
-            with self._inflight.get_lock():
-                self._inflight.value -= len(pending)
-            error = ReplicaCrashed(reason)
-            for item in pending:
-                item.future.set_exception(error)
-
-    def _resolve(self, link: _Link, ids, results=None, error=None, spans=None) -> None:
+    def _resolve(self, link: _Link, ids=None, results=None, error=None, spans=None) -> None:
+        """Settle ``ids`` of ``link`` — every pending request when ``None``."""
         done = time.perf_counter()
         if error is not None and not isinstance(error, BaseException):
             error = RuntimeError(str(error))
-        resolved: List[tuple[_Pending, Optional[np.ndarray]]] = []
+        requests: List[Pending] = []
+        rows: List[Optional[np.ndarray]] = []
         with self._lock:
-            for position, req_id in enumerate(ids):
-                item = link.pending.pop(req_id, None)
-                if item is None:  # already failed by a crash handler
+            for position, req_id in enumerate(list(link.pending) if ids is None else ids):
+                request = link.pending.pop(req_id, None)
+                if request is None:  # already failed by a crash handler
                     continue
-                self._latency_hist.observe(done - item.enqueued)
-                if error is not None:
-                    self._failures += 1
-                resolved.append(
-                    (item, results[position] if results is not None else None)
-                )
-        if resolved:
-            with self._inflight.get_lock():
-                self._inflight.value -= len(resolved)
-        if spans:
-            # Worker-built replica spans for this batch; export them through
-            # the tracer of any traced request the batch resolved (the
-            # gateway runs one tracer, so any span's tracer is *the* tracer).
-            for item, _row in resolved:
-                if item.span is not None:
-                    item.span.tracer.export_dicts(spans)
-                    break
-        for item, row in resolved:
+                self._latency_hist.observe(done - request.arrived)
+                requests.append(request)
+                rows.append(results[position] if results is not None else None)
             if error is not None:
-                item.future.set_exception(error)
-            else:
-                item.future.set_result(row)
+                self._failures += len(requests)
+        if requests:
+            with self._inflight.get_lock():
+                self._inflight.value -= len(requests)
+        settle_batch(requests, rows, error, spans)
 
     # -- statistics --------------------------------------------------------
     def worker_counters(self) -> Dict[str, int]:
@@ -958,27 +846,18 @@ class ProcessServer:
                 return block.values()
             return dict(self._metrics_final)
 
-    def latency_histogram(self) -> Histogram:
-        """Snapshot of the per-request latency histogram (seconds)."""
-        with self._lock:
-            return self._latency_hist.copy()
-
     def stats(self) -> ServerStats:
         with self._lock:
             hist = self._latency_hist.copy()
             failures = self._failures
         counters = self.worker_counters()
-        batches = counters["batches"]
-        items = counters["batch_items"]
-        end = self._stopped_at if self._stopped_at is not None else time.perf_counter()
-        elapsed = max(end - self._started_at, 0.0) if self._started_at else 0.0
-        return ServerStats(
-            requests=hist.count,
-            batches=batches,
+        return ServerStats.from_run(
+            hist,
+            batches=counters["batches"],
+            batch_items=counters["batch_items"],
             failures=failures,
-            elapsed_seconds=elapsed,
-            latencies_ms=hist.percentiles(scale=1e3),
-            mean_batch_size=items / batches if batches else 0.0,
+            started_at=self._started_at,
+            stopped_at=self._stopped_at,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

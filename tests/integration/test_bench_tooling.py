@@ -124,3 +124,41 @@ class TestSuiteSelection:
         extracted = extract(raw_payload)
         assert extracted["gate"] == ["cells_completed"]
         assert extracted["metrics"]["cells_completed"] == 8.0
+
+
+code_lines = pytest.importorskip("code_lines")
+
+#: 17 lines: 3 docstrings on 4 lines (module, class, method), 1 comment
+#: line, 4 blank lines — and 8 code lines: two span a multi-line (non-doc)
+#: string literal and one is a continuation line.
+_CODE_LINES_FIXTURE = '''"""Module docstring."""
+
+# a comment line
+import os
+
+
+class Thing:
+    """Class docstring,
+    over two lines."""
+
+    def method(self):
+        """Method docstring."""
+        value = os.sep  # trailing comments do not hide code
+        text = """a
+literal"""
+        return (value,
+                text)
+'''
+
+
+class TestCodeLines:
+    def test_counts_code_only(self):
+        assert code_lines.code_lines(_CODE_LINES_FIXTURE) == 8
+
+    def test_main_prints_per_file_and_total(self, tmp_path, capsys):
+        (tmp_path / "a.py").write_text(_CODE_LINES_FIXTURE)
+        (tmp_path / "b.py").write_text("x = 1\n\n# note\n")
+        assert code_lines.main([str(tmp_path)]) == 9
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out] == ["8", "1", "9"]
+        assert out[-1].split()[1] == "total"
