@@ -28,7 +28,9 @@ scenario out on the AlexNet-mini / synthetic-ImageNet stand-in:
   :class:`repro.serve.Gateway` hosts dense and sparse variants of the
   model behind replica pools — requests shard by policy (least-loaded for
   the dense pool, consistent-hash so a device's stream sticks to one warm
-  replica for the sparse pool), and a deliberately tiny admission queue
+  replica for the sparse pool).  The gateway admits 1-D feature vectors,
+  so devices send flattened images and each replica's network restores
+  the image shape before its conv stack.  A deliberately tiny admission queue
   shows overload degrading into fast-fail ``GatewayOverloaded`` rejections
   instead of a latency collapse.
 
@@ -45,7 +47,10 @@ import time
 from repro.analysis import format_bytes
 from repro.core import DeepSZ, DeepSZConfig
 from repro.core.decoder import DeepSZDecoder
-from repro.nn import models, zoo
+import numpy as np
+
+from repro.nn import Network, models, zoo
+from repro.nn.layers import Layer
 from repro.serve import Gateway, ModelRuntime, Server
 from repro.store import ModelArchive, ModelStore
 from repro.utils.errors import GatewayOverloaded
@@ -53,6 +58,17 @@ from repro.utils.errors import GatewayOverloaded
 
 def transfer_seconds(num_bytes: int, bits_per_second: float) -> float:
     return 8.0 * num_bytes / bits_per_second
+
+
+class Unflatten(Layer):
+    """Reshape a batch of flat feature vectors back to ``shape`` per sample."""
+
+    def __init__(self, name: str, shape: tuple) -> None:
+        super().__init__(name)
+        self.shape = tuple(shape)
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        return x.reshape((x.shape[0], *self.shape))
 
 
 def main() -> None:
@@ -172,23 +188,32 @@ def main() -> None:
         digest = store.put_bytes(archive_blob, network="alexnet-mini")
         print(f"archive stored as sha256:{digest[:16]}…")
 
+        # Devices send flattened images (the gateway admits 1-D samples);
+        # each replica's network restores the image shape up front.
+        flat_images = test.images.reshape(len(test.images), -1)
+
+        def image_network() -> Network:
+            return Network(
+                [Unflatten("unflatten", test.images.shape[1:]), *edge_net.clone().layers]
+            )
+
         gateway = Gateway(store=store)
         # Both pools resolve the same content digest from the store; each
         # replica gets its own runtime (independent decoded-layer cache)
         # and its own clone of the edge network.
         gateway.add_model(
             "alexnet-dense", digest=digest[:12], replicas=2,
-            network_factory=edge_net.clone, policy="least-loaded",
+            network_factory=image_network, policy="least-loaded",
             max_queue_depth=512, batch_size=64,
         )
         gateway.add_model(
             "alexnet-sparse", digest=digest[:12], replicas=2, sparse=True,
-            network_factory=edge_net.clone, policy="consistent-hash",
+            network_factory=image_network, policy="consistent-hash",
             max_queue_depth=512, batch_size=64,
         )
         with gateway:
             futures = []
-            for i, image in enumerate(test.images[:256]):
+            for i, image in enumerate(flat_images[:256]):
                 model = "alexnet-dense" if i % 2 == 0 else "alexnet-sparse"
                 # The shard key is the requesting device: consistent-hash
                 # keeps each device on one replica's warm cache.
@@ -211,13 +236,13 @@ def main() -> None:
         # error, admitted ones keep their latency.
         gateway.add_model(
             "alexnet-burst", digest=digest[:12], replicas=1,
-            network_factory=edge_net.clone, max_queue_depth=8,
+            network_factory=image_network, max_queue_depth=8,
             max_concurrency=1, batch_size=8,
         )
         rejected = 0
         with gateway:
             burst = [None] * 96
-            for i, image in enumerate(test.images[:96]):
+            for i, image in enumerate(flat_images[:96]):
                 try:
                     burst[i] = gateway.submit("alexnet-burst", image)
                 except GatewayOverloaded:

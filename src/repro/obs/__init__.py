@@ -16,12 +16,10 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricSample,
     MetricsBlock,
     MetricsRegistry,
-    SharedCounter,
     is_enabled,
     log_buckets,
     parse_prometheus,
@@ -54,13 +52,11 @@ __all__ = [
     "SPAN_FIELDS",
     "BufferExporter",
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlSpanExporter",
     "MetricSample",
     "MetricsBlock",
     "MetricsRegistry",
-    "SharedCounter",
     "Span",
     "Tracer",
     "active_fetch_log",

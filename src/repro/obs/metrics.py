@@ -2,20 +2,21 @@
 
 Three layers, matching how the serving stack is deployed:
 
-* **In-process instruments** — :class:`Counter`, :class:`Gauge`, and
-  :class:`Histogram` families with Prometheus-style names and labels,
-  collected by a :class:`MetricsRegistry`.  The registry is *pull-based*:
-  hot paths update plain counters under a lock (or nothing at all — the
-  gateway collector reads the serving layer's existing stats at scrape
-  time), and exposition walks the instruments only when someone asks.
-* **Cross-process primitives** — :class:`SharedCounter` (an
-  ``mp.Value('q')`` with its lock, safe for many writers) and
-  :class:`MetricsBlock` (a fixed array of int64 slots in one
-  ``multiprocessing.shared_memory`` segment, single writer per slot), so
-  ``ProcessServer`` workers publish into the same per-host registry as
-  thread replicas.  Blocks are named ``repro_obs_<pid>_<seq>`` and tracked
-  in an ``atexit`` registry, so the ``/dev/shm`` leak scan that guards the
-  weight cache covers metric blocks too.
+* **In-process instruments** — :class:`Histogram` (the servers' latency
+  store) and labelled :class:`Counter` families (decode-stage and
+  task-pool counters) with Prometheus-style names, held by a
+  :class:`MetricsRegistry`.  The registry is *pull-based*: hot paths
+  update plain counters under a lock (or nothing at all), and exposition
+  walks them only when someone asks.  Everything else — gauges and
+  histograms included — comes from *collectors*, callables that return
+  :class:`MetricSample` lists at scrape time; the gateway's collector
+  renders ``Gateway.stats()``.
+* **Cross-process primitive** — :class:`MetricsBlock`, a fixed array of
+  int64 slots in one ``multiprocessing.shared_memory`` segment (single
+  writer per slot), so ``ProcessServer`` workers publish counters the
+  parent reads without a lock.  Blocks are named ``repro_obs_<pid>_<seq>``
+  and tracked in an ``atexit`` registry, so the ``/dev/shm`` leak scan
+  that guards the weight cache covers metric blocks too.
 * **Exposition** — :meth:`MetricsRegistry.to_prometheus` (text format with
   cumulative ``_bucket``/``_sum``/``_count`` series) and
   :meth:`MetricsRegistry.to_json`, plus a strict :func:`parse_prometheus`
@@ -39,7 +40,6 @@ import atexit
 import bisect
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import re
@@ -57,12 +57,10 @@ from repro.utils.errors import ValidationError
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricSample",
     "MetricsBlock",
     "MetricsRegistry",
-    "SharedCounter",
     "is_enabled",
     "log_buckets",
     "parse_prometheus",
@@ -140,10 +138,6 @@ class Histogram:
         self._seen = 0
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        return self._bounds
 
     @property
     def count(self) -> int:
@@ -283,7 +277,7 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValidationError("counters only go up; use a Gauge")
+            raise ValidationError("counters only go up")
         with self._lock:
             self._value += amount
 
@@ -292,36 +286,10 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """Set/inc/dec gauge (one labelled child of a family)."""
+class CounterFamily:
+    """A named counter with a fixed label set and one child per label value."""
 
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class _Family:
-    """A named metric with a fixed label set and one child per label value."""
-
-    kind = "untyped"
+    kind = "counter"
 
     def __init__(self, name: str, help: str, label_names: Sequence[str]) -> None:
         if not _NAME_RE.match(name):
@@ -332,13 +300,10 @@ class _Family:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
-        self._children: Dict[tuple, object] = {}
+        self._children: Dict[tuple, Counter] = {}
         self._lock = threading.Lock()
 
-    def _make_child(self):
-        raise NotImplementedError
-
-    def labels(self, **labels: str):
+    def labels(self, **labels: str) -> Counter:
         if set(labels) != set(self.label_names):
             raise ValidationError(
                 f"metric {self.name} takes labels {self.label_names}, got {tuple(labels)}"
@@ -347,133 +312,61 @@ class _Family:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = self._children[key] = self._make_child()
+                child = self._children[key] = Counter()
         return child
 
-    def _solo(self):
+    def _solo(self) -> Counter:
         if self.label_names:
             raise ValidationError(f"metric {self.name} is labelled; call .labels() first")
         return self.labels()
 
-    def _child_sample(self, child, labels: Dict[str, str]) -> MetricSample:
-        return MetricSample(
-            name=self.name, kind=self.kind, help=self.help, labels=labels, value=child.value
-        )
+    def inc(self, amount: float = 1.0) -> None:
+        self._solo().inc(amount)
+
+    @property
+    def value(self) -> float:
+        return self._solo().value
 
     def samples(self) -> List[MetricSample]:
         with self._lock:
             items = sorted(self._children.items())
         return [
-            self._child_sample(child, dict(zip(self.label_names, key)))
+            MetricSample(
+                name=self.name,
+                kind=self.kind,
+                help=self.help,
+                labels=dict(zip(self.label_names, key)),
+                value=child.value,
+            )
             for key, child in items
         ]
 
 
-class CounterFamily(_Family):
-    kind = "counter"
-
-    def _make_child(self) -> Counter:
-        return Counter()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._solo().value
-
-
-class GaugeFamily(_Family):
-    kind = "gauge"
-
-    def _make_child(self) -> Gauge:
-        return Gauge()
-
-    def set(self, value: float) -> None:
-        self._solo().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._solo().value
-
-
-class HistogramFamily(_Family):
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: Sequence[str],
-        buckets: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(name, help, label_names)
-        self._buckets = tuple(buckets) if buckets is not None else None
-
-    def _make_child(self) -> Histogram:
-        return Histogram(self._buckets)
-
-    def observe(self, value: float) -> None:
-        self._solo().observe(value)
-
-    def _child_sample(self, child, labels: Dict[str, str]) -> MetricSample:
-        return MetricSample(
-            name=self.name,
-            kind=self.kind,
-            help=self.help,
-            labels=labels,
-            histogram=child.to_dict(),
-        )
-
-
 class MetricsRegistry:
-    """Named instruments plus pull-time collectors, with exposition.
+    """Named counters plus pull-time collectors, with exposition.
 
-    ``counter/gauge/histogram`` get-or-create a family (re-registration
-    with a different kind or label set is an error).  Collectors are
-    callables returning :class:`MetricSample` lists, invoked only at scrape
-    time — the mechanism by which the gateway publishes its per-model and
-    per-replica state without adding a single hot-path write.
+    :meth:`counter` gets or creates a family (re-registration with a
+    different label set is an error).  Collectors are callables returning
+    :class:`MetricSample` lists — gauges and histograms included — invoked
+    only at scrape time: the mechanism by which the gateway publishes its
+    per-model and per-replica state without adding a single hot-path
+    write.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._families: Dict[str, _Family] = {}
+        self._families: Dict[str, CounterFamily] = {}
         self._collectors: List[Callable[[], Iterable[MetricSample]]] = []
 
-    # -- instruments -------------------------------------------------------
-    def _family(self, cls, name: str, help: str, labels: Sequence[str], **kwargs) -> _Family:
+    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> CounterFamily:
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = self._families[name] = cls(name, help, labels, **kwargs)
+                family = self._families[name] = CounterFamily(name, help, labels)
                 return family
-        if type(family) is not cls or family.label_names != tuple(labels):
-            raise ValidationError(
-                f"metric {name!r} already registered with a different kind or label set"
-            )
+        if family.label_names != tuple(labels):
+            raise ValidationError(f"metric {name!r} already registered with a different label set")
         return family
-
-    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> CounterFamily:
-        return self._family(CounterFamily, name, help, labels)
-
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> GaugeFamily:
-        return self._family(GaugeFamily, name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
-    ) -> HistogramFamily:
-        return self._family(HistogramFamily, name, help, labels, buckets=buckets)
 
     # -- collectors --------------------------------------------------------
     def register_collector(self, collector: Callable[[], Iterable[MetricSample]]) -> None:
@@ -485,12 +378,6 @@ class MetricsRegistry:
         with self._lock:
             if collector in self._collectors:
                 self._collectors.remove(collector)
-
-    def reset(self) -> None:
-        """Drop every instrument and collector (tests and benchmark A/Bs)."""
-        with self._lock:
-            self._families.clear()
-            self._collectors.clear()
 
     # -- exposition --------------------------------------------------------
     def samples(self) -> List[MetricSample]:
@@ -662,31 +549,6 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
 # -- cross-process primitives ------------------------------------------------
 
 
-class SharedCounter:
-    """A cross-process counter: ``mp.Value('q')`` guarded by its own lock.
-
-    Safe for concurrent writers in many processes (unlike
-    :class:`MetricsBlock` slots, which are single-writer).  This is the
-    idiom the in-flight gauge already uses; exposed here so other
-    multi-writer counters do not reinvent it.
-    """
-
-    def __init__(self, ctx=None, initial: int = 0) -> None:
-        self._cell = (ctx or multiprocessing).Value("q", int(initial))
-
-    def add(self, amount: int = 1) -> None:
-        with self._cell.get_lock():
-            self._cell.value += int(amount)
-
-    def reset(self) -> None:
-        with self._cell.get_lock():
-            self._cell.value = 0
-
-    @property
-    def value(self) -> int:
-        return int(self._cell.value)
-
-
 _BLOCKS_LOCK = threading.Lock()
 _LIVE_BLOCKS: "List[MetricsBlock]" = []
 _BLOCK_SEQ = itertools.count(1)
@@ -709,8 +571,7 @@ class MetricsBlock:
     (segment name + slot order, a few dozen bytes) to the worker, which
     :meth:`attach`\\ es and becomes the **single writer**: aligned 8-byte
     stores are atomic on every platform CPython supports, so the parent
-    reads live values without any cross-process lock.  Counters that need
-    *multiple* writers belong in :class:`SharedCounter` instead.
+    reads live values without any cross-process lock.
 
     The creating process owns the segment: ``close()`` there unlinks it,
     and an ``atexit`` registry unlinks anything still live on unclean exit
@@ -763,10 +624,6 @@ class MetricsBlock:
     @property
     def manifest(self) -> dict:
         return {"segment": self._segment.name, "slots": list(self._slots)}
-
-    @property
-    def slots(self) -> Tuple[str, ...]:
-        return self._slots
 
     def add(self, slot: str, amount: int = 1) -> None:
         self._cells[self._index[slot]] += int(amount)

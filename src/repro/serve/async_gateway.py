@@ -26,8 +26,10 @@ module only adapts that stack to the loop:
   Both abandon the request in the admission core: a queued request leaves
   the queue at once (the queue-depth gauge drops, the next request can be
   admitted), while one already in service keeps its concurrency slot until
-  the replica's discarded answer lands.  The ``gateway.request`` span
-  finishes with the matching outcome.
+  the replica's discarded answer lands.  A deadline that fires after the
+  answer already settled returns that answer, so the caller and the
+  gateway's counters agree.  The ``gateway.request`` span finishes with
+  the matching outcome.
 * **graceful drain** — ``await stop()`` closes admission, then waits off
   the loop for the backlog to reach the replicas and for those to drain,
   exactly like the thread gateway.
@@ -242,8 +244,10 @@ class AsyncGateway(Gateway):
                 return await waiter
             return await asyncio.wait_for(waiter, timeout=float(deadline))
         except asyncio.TimeoutError:
-            # If the request settled in the same beat, its outcome stands.
-            entry.abandon(request, "deadline_exceeded")
+            if not entry.abandon(request, "deadline_exceeded"):
+                # It settled in the same beat: that outcome stands, and the
+                # caller gets it, so both sides count the request alike.
+                return await asyncio.wrap_future(request.future)
             raise DeadlineExceeded(
                 f"request to model {entry.name!r} exceeded its "
                 f"deadline of {float(deadline):.3f}s"

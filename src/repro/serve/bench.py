@@ -38,10 +38,10 @@ import numpy as np
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import JsonlSpanExporter, Tracer
 from repro.serve.runtime import DEFAULT_CACHE_BYTES, ModelRuntime
-from repro.sim.driver import DriveResult, drive_gateway
+from repro.sim.driver import check_accounting, drive_gateway
 from repro.sim.workload import SimRequest, WorkloadTrace
 from repro.store.archive import archive_input_dim
-from repro.utils.errors import ReproError, ValidationError
+from repro.utils.errors import ValidationError
 
 __all__ = [
     "serving_benchmark",
@@ -88,23 +88,6 @@ def _replay_trace(models: Sequence[str], requests: Sequence[SimRequest]) -> Work
         params={},
         requests=tuple(requests),
     )
-
-
-def _check_accounting(phase: str, result: DriveResult, stats) -> None:
-    """Every offered request resolved exactly once, and the gateway agrees."""
-    expected = {
-        "submitted": result.offered - result.rejected,
-        "completed": result.completed,
-        "rejected": result.rejected,
-        "failures": result.failures,
-    }
-    counted = {key: getattr(stats, key) for key in expected}
-    settled = result.completed + result.rejected + result.expired + result.failures
-    if counted != expected or settled != result.offered:
-        raise ReproError(
-            f"{phase} accounting broken: offered {result.offered}, driver "
-            f"{expected} (expired {result.expired}), Gateway.stats() {counted}"
-        )
 
 
 def gateway_benchmark(
@@ -228,7 +211,7 @@ def gateway_benchmark(
     finally:
         if tracer is not None:
             tracer.close()
-    _check_accounting("closed-loop", run, stats)
+    check_accounting("closed-loop", run, stats)
 
     results: Dict = {
         "models": len(names),
@@ -283,7 +266,7 @@ def gateway_benchmark(
             mode="open",
             observe=lambda gateway: gateway.stats(),
         )
-        _check_accounting("saturation", run, stats)
+        check_accounting("saturation", run, stats)
         results["saturation"] = {
             "queue_depth_limit": depth,
             "max_concurrency": concurrency_cap,

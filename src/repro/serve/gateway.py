@@ -38,7 +38,12 @@ in.  :class:`Gateway` is that front door:
 * **stats** aggregate the whole fleet: per-model throughput and latency
   percentiles (measured submit→resolve, queue wait included), rejection
   rates and live queue depth, per-replica dispatch counts, in-flight
-  gauges, decode counts and resident cache bytes.
+  gauges, decode counts and resident cache bytes.  Each level has one
+  reader: :meth:`Replica.stats` reads a replica's runtime (or its
+  worker's counters) once, :meth:`_Model.stats` snapshots a model's
+  counters under its lock, and :meth:`Gateway.stats` sums those.  The
+  registry collector renders one ``stats()`` call as metric samples, so
+  ``stats()`` and ``/metrics`` cannot disagree.
 
 Lifecycle mirrors :class:`Server`: ``start()`` spins up every replica
 server, ``stop()`` closes admission, waits until every parked request has
@@ -71,6 +76,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profile
 from repro.obs.metrics import Histogram, MetricSample, MetricsRegistry
 from repro.obs.trace import Span, Tracer
+from repro.serve.cache import CacheStats
 from repro.serve.runtime import DEFAULT_CACHE_BYTES, ModelRuntime
 from repro.serve.server import Server, ServerStats
 from repro.serve.shm import shared_weight_store
@@ -309,6 +315,121 @@ class ArchiveMLP:
 
 
 # ---------------------------------------------------------------------------
+# statistics
+# ---------------------------------------------------------------------------
+
+
+#: ``repro_gateway_requests_total`` outcome label -> :class:`ModelStats`
+#: count field (the admission core counts under the label names).
+_OUTCOME_FIELDS = {
+    "cancelled": "cancelled",
+    "completed": "completed",
+    "deadline_exceeded": "deadline_exceeded",
+    "failed": "failures",
+    "rejected": "rejected",
+    "submitted": "submitted",
+}
+
+
+@dataclass
+class ReplicaStats:
+    """One replica's share of a model's traffic plus its serving internals.
+
+    ``cache`` (thread replicas) and ``worker_counters`` (process replicas)
+    feed the metrics exposition only and stay out of :meth:`as_dict`.
+    """
+
+    id: str
+    dispatched: int
+    inflight: int
+    cache_bytes: int
+    decodes: int
+    server: ServerStats
+    cache: Optional[CacheStats] = None
+    worker_counters: Optional[Dict[str, int]] = None
+
+    def as_dict(self) -> dict:
+        out = {
+            k: v for k, v in self.__dict__.items() if k not in ("cache", "worker_counters")
+        }
+        out["server"] = self.server.as_dict()
+        return out
+
+
+class _Rates:
+    """Rates derived from a stats record's counts and elapsed time."""
+
+    @property
+    def throughput_rps(self) -> float:
+        return self.completed / self.elapsed_seconds if self.elapsed_seconds else 0.0
+
+    @property
+    def rejection_rate(self) -> float:
+        offered = self.submitted + self.rejected
+        return self.rejected / offered if offered else 0.0
+
+
+@dataclass
+class ModelStats(_Rates):
+    """One hosted model's admission, latency, and replica breakdown."""
+
+    name: str
+    policy: str
+    backend: str = "thread"
+    shared_bytes: int = 0
+    submitted: int = 0
+    completed: int = 0
+    failures: int = 0
+    rejected: int = 0
+    deadline_exceeded: int = 0
+    cancelled: int = 0
+    queue_depth: int = 0
+    max_queue_depth: int = 0
+    max_concurrency: int = 0
+    elapsed_seconds: float = 0.0
+    latencies_ms: Dict[str, float] = field(default_factory=dict)
+    replicas: List[ReplicaStats] = field(default_factory=list)
+    #: The latency histogram behind ``latencies_ms`` (exposition only).
+    latency: Optional[Histogram] = None
+
+    @property
+    def cache_bytes(self) -> int:
+        return int(sum(r.cache_bytes for r in self.replicas))
+
+    def as_dict(self) -> dict:
+        out = {k: v for k, v in self.__dict__.items() if k not in ("replicas", "latency")}
+        out["replicas"] = [r.as_dict() for r in self.replicas]
+        out["throughput_rps"] = self.throughput_rps
+        out["rejection_rate"] = self.rejection_rate
+        out["cache_bytes"] = self.cache_bytes
+        return out
+
+
+@dataclass
+class GatewayStats(_Rates):
+    """Fleet-wide aggregates plus the per-model breakdown."""
+
+    elapsed_seconds: float = 0.0
+    submitted: int = 0
+    completed: int = 0
+    failures: int = 0
+    rejected: int = 0
+    deadline_exceeded: int = 0
+    cancelled: int = 0
+    cache_bytes: int = 0
+    shared_bytes: int = 0
+    latencies_ms: Dict[str, float] = field(default_factory=dict)
+    models: Dict[str, ModelStats] = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        out = {k: v for k, v in self.__dict__.items() if k != "models"}
+        out["models"] = {name: m.as_dict() for name, m in self.models.items()}
+        out["throughput_rps"] = self.throughput_rps
+        out["rejection_rate"] = self.rejection_rate
+        return out
+
+
+# ---------------------------------------------------------------------------
 # replicas and per-model state
 # ---------------------------------------------------------------------------
 
@@ -321,8 +442,8 @@ class Replica:
     shared cache lock) plus a :class:`Server` whose batching loop is the
     replica's execution thread.  A process replica owns no runtime at all —
     its server is a :class:`~repro.serve.worker.ProcessServer` handle and
-    the weights live in the model's host-wide shared segment; the stats
-    properties below make both shapes answer the same questions.
+    the weights live in the model's host-wide shared segment; :meth:`stats`
+    makes both shapes answer the same questions.
     """
 
     def __init__(
@@ -345,20 +466,33 @@ class Replica:
     def inflight(self) -> int:
         return self.server.inflight
 
-    @property
-    def cache_bytes(self) -> int:
-        """Private decoded bytes this replica holds (0 for process replicas:
-        their weights alias the shared segment, counted once per model)."""
-        return int(self.runtime.resident_bytes) if self.runtime is not None else 0
+    def stats(self, dispatched: int) -> ReplicaStats:
+        """One read of this replica's serving state.
 
-    @property
-    def decodes(self) -> int:
-        """Weight decodes this replica performed itself.  Process replicas
-        report the worker's counter — 0 by construction, which is the
-        once-per-host decode property made observable."""
+        A thread replica reads its runtime's stats once (cache counters,
+        resident bytes, decodes).  A process replica reports its worker's
+        counters.  It holds no private cache, because its weights alias
+        the shared segment, counted once per model.  Its decode count is
+        0: the worker only builds views over the segment the gateway
+        decoded once per host, which is the property this stat shows.
+        """
         if self.runtime is not None:
-            return int(self.runtime.stats().decodes)
-        return int(self.server.worker_decodes)
+            runtime = self.runtime.stats()
+            cache_bytes, decodes = runtime.cache.current_bytes, runtime.decodes
+            cache, worker = runtime.cache, None
+        else:
+            cache_bytes, decodes = 0, 0
+            cache, worker = None, self.server.worker_counters()
+        return ReplicaStats(
+            id=self.id,
+            dispatched=dispatched,
+            inflight=self.inflight,
+            cache_bytes=int(cache_bytes),
+            decodes=int(decodes),
+            server=self.server.stats(),
+            cache=cache,
+            worker_counters=worker,
+        )
 
     def close_runtime(self) -> None:
         if self.runtime is not None:
@@ -602,114 +736,29 @@ class _Model:
         with self.lock:
             self.idle.wait_for(lambda: not self.queued)
 
-    def snapshot(self) -> tuple:
-        """``(counts, queued, latency histogram, per-replica dispatched)``
-        under one lock hold — what both stats() and the collector read."""
+    def stats(self, elapsed: float) -> ModelStats:
+        """This model's stats from one snapshot taken under the model lock."""
         with self.lock:
-            return (
-                dict(self.counts),
-                self.queued,
-                self.latency_hist.copy(),
-                [replica.dispatched for replica in self.replicas],
-            )
-
-
-# ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReplicaStats:
-    """One replica's share of a model's traffic plus its serving internals."""
-
-    id: str
-    dispatched: int
-    inflight: int
-    cache_bytes: int
-    decodes: int
-    server: ServerStats
-
-    def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["server"] = self.server.as_dict()
-        return out
-
-
-@dataclass
-class ModelStats:
-    """One hosted model's admission, latency, and replica breakdown."""
-
-    name: str
-    policy: str
-    backend: str = "thread"
-    shared_bytes: int = 0
-    submitted: int = 0
-    completed: int = 0
-    failures: int = 0
-    rejected: int = 0
-    deadline_exceeded: int = 0
-    cancelled: int = 0
-    queue_depth: int = 0
-    max_queue_depth: int = 0
-    max_concurrency: int = 0
-    elapsed_seconds: float = 0.0
-    latencies_ms: Dict[str, float] = field(default_factory=dict)
-    replicas: List[ReplicaStats] = field(default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.elapsed_seconds if self.elapsed_seconds else 0.0
-
-    @property
-    def rejection_rate(self) -> float:
-        offered = self.submitted + self.rejected
-        return self.rejected / offered if offered else 0.0
-
-    @property
-    def cache_bytes(self) -> int:
-        return int(sum(r.cache_bytes for r in self.replicas))
-
-    def as_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "replicas"}
-        out["replicas"] = [r.as_dict() for r in self.replicas]
-        out["throughput_rps"] = self.throughput_rps
-        out["rejection_rate"] = self.rejection_rate
-        out["cache_bytes"] = self.cache_bytes
-        return out
-
-
-@dataclass
-class GatewayStats:
-    """Fleet-wide aggregates plus the per-model breakdown."""
-
-    elapsed_seconds: float = 0.0
-    submitted: int = 0
-    completed: int = 0
-    failures: int = 0
-    rejected: int = 0
-    deadline_exceeded: int = 0
-    cancelled: int = 0
-    cache_bytes: int = 0
-    shared_bytes: int = 0
-    latencies_ms: Dict[str, float] = field(default_factory=dict)
-    models: Dict[str, ModelStats] = field(default_factory=dict)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.elapsed_seconds if self.elapsed_seconds else 0.0
-
-    @property
-    def rejection_rate(self) -> float:
-        offered = self.submitted + self.rejected
-        return self.rejected / offered if offered else 0.0
-
-    def as_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "models"}
-        out["models"] = {name: m.as_dict() for name, m in self.models.items()}
-        out["throughput_rps"] = self.throughput_rps
-        out["rejection_rate"] = self.rejection_rate
-        return out
+            counts = dict(self.counts)
+            queued = self.queued
+            latency = self.latency_hist.copy()
+            dispatched = [replica.dispatched for replica in self.replicas]
+        return ModelStats(
+            name=self.name,
+            policy=self.policy.name,
+            backend=self.backend,
+            shared_bytes=self.shared_bytes,
+            queue_depth=queued,
+            max_queue_depth=self.max_queue_depth,
+            max_concurrency=self.max_concurrency,
+            elapsed_seconds=elapsed,
+            latencies_ms=latency.percentiles(scale=1e3),
+            replicas=[
+                replica.stats(count) for replica, count in zip(self.replicas, dispatched)
+            ],
+            latency=latency,
+            **{name: counts[outcome] for outcome, name in _OUTCOME_FIELDS.items()},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +818,8 @@ class Gateway:
         # Tracing: no exporter → Tracer.sample() short-circuits to False and
         # the request path never builds a span.  Metrics: the gateway is a
         # *collector* on the registry (registered per run), so serving hot
-        # paths write only their existing counters; metric samples are built
-        # at scrape time from the same state stats() reads.
+        # paths write only their existing counters; metric samples are
+        # rendered from stats() at scrape time.
         self._tracer = tracer if tracer is not None else Tracer()
         self._registry = metrics if metrics is not None else obs_metrics.registry()
 
@@ -1236,6 +1285,7 @@ class Gateway:
 
     # -- statistics --------------------------------------------------------
     def stats(self) -> GatewayStats:
+        """Fleet totals summed over one :meth:`_Model.stats` per model."""
         end = self._stopped_at if self._stopped_at is not None else time.perf_counter()
         elapsed = max(end - self._started_at, 0.0) if self._started_at else 0.0
         total = GatewayStats(elapsed_seconds=elapsed)
@@ -1243,69 +1293,30 @@ class Gateway:
         with self._gate_lock:
             entries = list(self._models.values())
         for entry in entries:
-            counts, queued, hist, dispatched = entry.snapshot()
-            model = ModelStats(
-                name=entry.name,
-                policy=entry.policy.name,
-                backend=entry.backend,
-                shared_bytes=entry.shared_bytes,
-                submitted=counts["submitted"],
-                completed=counts["completed"],
-                failures=counts["failed"],
-                rejected=counts["rejected"],
-                deadline_exceeded=counts["deadline_exceeded"],
-                cancelled=counts["cancelled"],
-                queue_depth=queued,
-                max_queue_depth=entry.max_queue_depth,
-                max_concurrency=entry.max_concurrency,
-                elapsed_seconds=elapsed,
-            )
-            model.latencies_ms = hist.percentiles(scale=1e3)
-            model.replicas = [
-                ReplicaStats(
-                    id=replica.id,
-                    dispatched=count,
-                    inflight=replica.inflight,
-                    cache_bytes=replica.cache_bytes,
-                    decodes=replica.decodes,
-                    server=replica.server.stats(),
-                )
-                for replica, count in zip(entry.replicas, dispatched)
-            ]
-            fleet_hist.merge(hist)
-            total.models[entry.name] = model
-            total.submitted += model.submitted
-            total.completed += model.completed
-            total.failures += model.failures
-            total.rejected += model.rejected
-            total.deadline_exceeded += model.deadline_exceeded
-            total.cancelled += model.cancelled
-            total.cache_bytes += model.cache_bytes
-            total.shared_bytes += model.shared_bytes
+            model = total.models[entry.name] = entry.stats(elapsed)
+            for name in (*_OUTCOME_FIELDS.values(), "cache_bytes", "shared_bytes"):
+                setattr(total, name, getattr(total, name) + getattr(model, name))
+            fleet_hist.merge(model.latency)
         total.latencies_ms = fleet_hist.percentiles(scale=1e3)
         return total
 
     def _collect(self) -> List[MetricSample]:
-        """Registry collector: the serving fleet as metric samples.
+        """Registry collector: :meth:`stats` rendered as metric samples.
 
-        Runs at scrape time only, reading the same per-model snapshot
-        :meth:`stats` reads — the request hot path never touches the
-        registry.  Registered at :meth:`start`, unregistered at
-        :meth:`stop`.
+        Runs at scrape time only — the request hot path never touches the
+        registry — and reads no serving state of its own.  Registered at
+        :meth:`start`, unregistered at :meth:`stop`.
         """
         samples: List[MetricSample] = []
-        with self._gate_lock:
-            entries = list(self._models.values())
-        for entry in entries:
-            outcomes, queued, hist, dispatched = entry.snapshot()
-            for outcome, value in sorted(outcomes.items()):
+        for model in self.stats().models.values():
+            for outcome, name in _OUTCOME_FIELDS.items():
                 samples.append(
                     MetricSample(
                         name="repro_gateway_requests_total",
                         kind="counter",
                         help="Gateway requests by model and outcome.",
-                        labels={"model": entry.name, "outcome": outcome},
-                        value=float(value),
+                        labels={"model": model.name, "outcome": outcome},
+                        value=float(getattr(model, name)),
                     )
                 )
             samples.append(
@@ -1316,8 +1327,8 @@ class Gateway:
                     name="repro_gateway_deadline_exceeded_total",
                     kind="counter",
                     help="Requests whose deadline expired before a result.",
-                    labels={"model": entry.name},
-                    value=float(outcomes["deadline_exceeded"]),
+                    labels={"model": model.name},
+                    value=float(model.deadline_exceeded),
                 )
             )
             samples.append(
@@ -1325,8 +1336,8 @@ class Gateway:
                     name="repro_gateway_queue_depth",
                     kind="gauge",
                     help="Requests admitted but not yet dispatched to a replica.",
-                    labels={"model": entry.name},
-                    value=float(queued),
+                    labels={"model": model.name},
+                    value=float(model.queue_depth),
                 )
             )
             samples.append(
@@ -1334,19 +1345,13 @@ class Gateway:
                     name="repro_gateway_latency_seconds",
                     kind="histogram",
                     help="Submit-to-resolve request latency by model.",
-                    labels={"model": entry.name},
-                    histogram=hist.to_dict(),
+                    labels={"model": model.name},
+                    histogram=model.latency.to_dict(),
                 )
             )
-            cache_totals = {
-                "hits": 0,
-                "misses": 0,
-                "evictions": 0,
-                "coalesced": 0,
-            }
-            cache_resident = 0
-            for replica, count in zip(entry.replicas, dispatched):
-                labels = {"model": entry.name, "replica": replica.id}
+            cache_events = dict.fromkeys(("coalesced", "evictions", "hits", "misses"), 0)
+            for replica in model.replicas:
+                labels = {"model": model.name, "replica": replica.id}
                 samples.append(
                     MetricSample(
                         name="repro_replica_inflight",
@@ -1362,22 +1367,15 @@ class Gateway:
                         kind="counter",
                         help="Requests the shard policy routed to a replica.",
                         labels=labels,
-                        value=float(count),
+                        value=float(replica.dispatched),
                     )
                 )
-                if replica.runtime is not None:
-                    cache = replica.runtime.stats().cache
-                    cache_totals["hits"] += cache.hits
-                    cache_totals["misses"] += cache.misses
-                    cache_totals["evictions"] += cache.evictions
-                    cache_totals["coalesced"] += cache.coalesced
-                    cache_resident += cache.current_bytes
-                if isinstance(replica.server, ProcessServer):
-                    counters = replica.server.worker_counters()
-                    for stage, ns_slot, count_slot in (
-                        ("forward", "forward_ns", "forward_count"),
-                        ("fetch", "fetch_ns", "fetch_count"),
-                    ):
+                if replica.cache is not None:
+                    for event in cache_events:
+                        cache_events[event] += getattr(replica.cache, event)
+                if replica.worker_counters is not None:
+                    counters = replica.worker_counters
+                    for stage in ("forward", "fetch"):
                         samples.append(
                             MetricSample(
                                 name="repro_worker_stage_seconds_total",
@@ -1387,7 +1385,7 @@ class Gateway:
                                     "(forward pass, per-layer weight fetch)."
                                 ),
                                 labels={**labels, "stage": stage},
-                                value=counters[ns_slot] / 1e9,
+                                value=counters[f"{stage}_ns"] / 1e9,
                             )
                         )
                         samples.append(
@@ -1396,16 +1394,16 @@ class Gateway:
                                 kind="counter",
                                 help="Worker-process stage executions.",
                                 labels={**labels, "stage": stage},
-                                value=float(counters[count_slot]),
+                                value=float(counters[f"{stage}_count"]),
                             )
                         )
-            for event, value in sorted(cache_totals.items()):
+            for event, value in cache_events.items():
                 samples.append(
                     MetricSample(
                         name="repro_cache_events_total",
                         kind="counter",
                         help="Decoded-layer cache events across a model's replicas.",
-                        labels={"model": entry.name, "event": event},
+                        labels={"model": model.name, "event": event},
                         value=float(value),
                     )
                 )
@@ -1414,8 +1412,8 @@ class Gateway:
                     name="repro_cache_resident_bytes",
                     kind="gauge",
                     help="Decoded bytes resident across a model's replica caches.",
-                    labels={"model": entry.name},
-                    value=float(cache_resident),
+                    labels={"model": model.name},
+                    value=float(model.cache_bytes),
                 )
             )
         return samples

@@ -394,16 +394,6 @@ class ProcessServer:
         link = self._link
         return link.process.pid if link is not None else None
 
-    @property
-    def worker_decodes(self) -> int:
-        """Per-worker weight decodes after warmup — 0 by construction.
-
-        The worker reconstructs views over the pre-decoded shared segment;
-        it has no decoder to run.  Kept as an explicit stat so gateway
-        stats can *prove* the no-per-worker-decode property.
-        """
-        return 0
-
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ProcessServer":
         with self._lock:

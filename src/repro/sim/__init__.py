@@ -11,8 +11,10 @@ The package splits into three layers:
   :class:`~repro.serve.async_gateway.AsyncGateway` and reduce the
   outcomes to a :class:`~repro.sim.driver.DriveResult`, plus
   :func:`~repro.sim.driver.drive_gateway`, the one build/start/drive/close
-  lifecycle the matrix and ``repro.serve.bench`` share.  These drivers
-  are the repo's only load generator.
+  lifecycle the matrix and ``repro.serve.bench`` share, and
+  :func:`~repro.sim.driver.check_accounting`, the exactly-once check both
+  run after every replay.  These drivers are the repo's only load
+  generator.
 * :mod:`repro.sim.matrix` — the config-driven scenario×policy matrix
   runner behind ``python -m repro scenario-bench`` and
   ``benchmarks/bench_scenarios.py``.
@@ -23,6 +25,7 @@ Every scenario registered here must be documented in
 
 from repro.sim.driver import (
     DriveResult,
+    check_accounting,
     drive_closed_loop,
     drive_closed_loop_async,
     drive_gateway,
@@ -54,6 +57,7 @@ __all__ = [
     "Scenario",
     "SimRequest",
     "WorkloadTrace",
+    "check_accounting",
     "drive_closed_loop",
     "drive_closed_loop_async",
     "drive_gateway",

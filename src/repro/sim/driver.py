@@ -19,6 +19,8 @@ available for both front doors:
 
 :func:`drive_gateway` is the one gateway lifecycle around a replay:
 build the gateway for a front door, add the models, start, drive, close.
+:func:`check_accounting` holds a replay's outcomes against the gateway's
+own ``stats()``; the benchmark harness and every matrix cell run it.
 
 Outcome taxonomy (disjoint; ``offered`` is their sum):
 
@@ -45,12 +47,18 @@ import numpy as np
 
 from repro.obs.log import get_logger
 from repro.sim.workload import WorkloadTrace
-from repro.utils.errors import DeadlineExceeded, GatewayOverloaded, ValidationError
+from repro.utils.errors import (
+    DeadlineExceeded,
+    GatewayOverloaded,
+    ReproError,
+    ValidationError,
+)
 
 _log = get_logger("sim.driver")
 
 __all__ = [
     "DriveResult",
+    "check_accounting",
     "drive_closed_loop",
     "drive_closed_loop_async",
     "drive_gateway",
@@ -470,6 +478,30 @@ def drive_gateway(
         return result, observe(gateway)
     finally:
         gateway.close()
+
+
+def check_accounting(label: str, result: DriveResult, stats: Any) -> None:
+    """Every offered request resolved exactly once, and the gateway agrees.
+
+    ``stats`` is the ``Gateway.stats()`` taken after the replay (from the
+    ``observe`` hook of :func:`drive_gateway`).  Raises
+    :class:`~repro.utils.errors.ReproError` unless the driver's outcomes
+    sum to ``offered`` and each one matches the gateway's own count.
+    """
+    expected = {
+        "submitted": result.offered - result.rejected,
+        "completed": result.completed,
+        "rejected": result.rejected,
+        "failures": result.failures,
+        "deadline_exceeded": result.expired,
+    }
+    counted = {key: getattr(stats, key) for key in expected}
+    settled = result.completed + result.rejected + result.expired + result.failures
+    if counted != expected or settled != result.offered:
+        raise ReproError(
+            f"{label} accounting broken: offered {result.offered}, driver "
+            f"{expected}, Gateway.stats() {counted}"
+        )
 
 
 def _host(gateway: Any, models: Mapping[str, Mapping[str, Any]]) -> None:

@@ -9,6 +9,9 @@ difference measures the policy, not sampling noise.
 Each cell drives a fresh gateway wired to a private
 :class:`~repro.obs.metrics.MetricsRegistry`, so per-model cache hit
 rates come straight off the serving metrics instead of a side channel.
+Every cell also runs :func:`~repro.sim.driver.check_accounting`: the
+driver's outcomes must sum to the offered load and match
+``Gateway.stats()``, or the cell fails with ``ReproError``.
 
 The output feeds three consumers with one schema:
 
@@ -32,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.driver import drive_gateway
+from repro.sim.driver import check_accounting, drive_gateway
 from repro.sim.workload import WorkloadTrace, generate_trace, get_scenario
 from repro.utils.errors import ValidationError
 
@@ -328,16 +331,21 @@ def run_matrix(config: MatrixConfig, *, progress: Any = None) -> Dict[str, Any]:
             )
             for name, blob in sources.items()
         }
-        result, cache = drive_gateway(
+        result, (stats, cache) = drive_gateway(
             models,
             traces[scenario],
             inputs,
             frontdoor=frontdoor,
             mode=config.mode,
             metrics=MetricsRegistry(),
-            observe=_cache_hit_rates,
+            observe=lambda gateway: (gateway.stats(), _cache_hit_rates(gateway)),
             time_scale=config.time_scale,
             **closed_options,
+        )
+        check_accounting(
+            f"cell {scenario}/{policy}/{backend}/{frontdoor}/r{replicas}/q{queue_depth}",
+            result,
+            stats,
         )
         cells.append({
             "scenario": scenario,

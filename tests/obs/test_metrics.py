@@ -131,19 +131,39 @@ class TestHistogram:
         assert hist.count == 2
 
 
+def _gauge_and_histogram(value: float, observed: float):
+    """A collector publishing one gauge and one histogram, the way the
+    gateway's collector does."""
+    hist = Histogram((0.1, 1.0))
+    hist.observe(observed)
+
+    def collect():
+        return [
+            MetricSample(name="depth", kind="gauge", help="queue depth", value=value),
+            MetricSample(
+                name="lat_seconds", kind="histogram", help="latency",
+                histogram=hist.to_dict(),
+            ),
+        ]
+
+    return collect
+
+
 class TestRegistry:
     def test_counter_gauge_histogram_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("reqs_total", "requests", labels=("model",)).labels(
             model="m"
         ).inc(3)
-        registry.gauge("depth", "queue depth").set(4)
-        registry.histogram("lat_seconds", "latency", buckets=(0.1, 1.0)).observe(0.05)
+        registry.register_collector(_gauge_and_histogram(4.0, 0.05))
         payload = registry.to_json()
         assert payload["metrics"]["reqs_total"]["kind"] == "counter"
         sample = payload["metrics"]["reqs_total"]["samples"][0]
         assert sample["labels"] == {"model": "m"}
         assert sample["value"] == 3.0
+        assert payload["metrics"]["depth"]["kind"] == "gauge"
+        assert payload["metrics"]["depth"]["samples"][0]["value"] == 4.0
+        assert payload["metrics"]["lat_seconds"]["kind"] == "histogram"
         hist = payload["metrics"]["lat_seconds"]["samples"][0]["histogram"]
         assert hist["count"] == 1
         json.dumps(payload)  # JSON-ready end to end
@@ -151,8 +171,6 @@ class TestRegistry:
     def test_kind_conflict_rejected(self):
         registry = MetricsRegistry()
         registry.counter("x_total", "x")
-        with pytest.raises(ValidationError):
-            registry.gauge("x_total", "x")
         with pytest.raises(ValidationError):
             registry.counter("x_total", "x", labels=("other",))
 
@@ -182,10 +200,13 @@ class TestRegistry:
         registry.counter("reqs_total", 'say "hi"\nok', labels=("model",)).labels(
             model='a"b\\c'
         ).inc(2)
-        registry.histogram("lat_seconds", "latency", buckets=(0.1, 1.0)).observe(0.5)
+        registry.register_collector(_gauge_and_histogram(4.0, 0.5))
         text = registry.to_prometheus()
         series = parse_prometheus(text)
         assert series["reqs_total"]["samples"] == [({"model": 'a"b\\c'}, 2.0)]
+        assert series["depth"]["type"] == "gauge"
+        assert series["depth"]["samples"] == [({}, 4.0)]
+        assert series["lat_seconds"]["type"] == "histogram"
         buckets = dict(
             (labels["le"], value)
             for labels, value in series["lat_seconds_bucket"]["samples"]

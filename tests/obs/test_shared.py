@@ -1,16 +1,11 @@
-"""Cross-process metric primitives: SharedCounter and MetricsBlock."""
+"""Cross-process metric primitive: MetricsBlock."""
 
 import multiprocessing
 
 import pytest
 
-from repro.obs.metrics import MetricsBlock, SharedCounter
+from repro.obs.metrics import MetricsBlock
 from repro.utils.errors import ValidationError
-
-
-def _hammer_counter(counter, rounds):
-    for _ in range(rounds):
-        counter.add(1)
 
 
 def _hammer_block(manifest, slot, rounds):
@@ -20,25 +15,6 @@ def _hammer_block(manifest, slot, rounds):
             block.add(slot, 1)
     finally:
         block.close()
-
-
-class TestSharedCounter:
-    def test_concurrent_process_writers_lose_nothing(self):
-        ctx = multiprocessing.get_context("spawn")
-        counter = SharedCounter(ctx)
-        rounds, workers = 500, 4
-        procs = [
-            ctx.Process(target=_hammer_counter, args=(counter, rounds))
-            for _ in range(workers)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-        assert all(p.exitcode == 0 for p in procs)
-        assert counter.value == rounds * workers
-        counter.reset()
-        assert counter.value == 0
 
 
 class TestMetricsBlock:

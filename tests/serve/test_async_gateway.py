@@ -195,6 +195,34 @@ class TestDeadlines:
 
         asyncio.run(main())
 
+    def test_deadline_racing_settlement_keeps_the_outcome(self, archive_blob):
+        """A deadline that fires after the replica's answer settled the
+        request returns that answer: the caller and the gateway's books
+        must name the same outcome."""
+
+        async def main():
+            gateway, networks = _blocking_gateway(archive_blob, max_queue_depth=1)
+            x = np.ones(_INPUT_DIM, dtype=np.float32)
+            async with gateway:
+                entry = gateway._model("m")
+                abandon = entry.abandon
+
+                def abandon_after_settle(request, outcome):
+                    # The deadline fired; let the answer settle first.
+                    networks[0].release.set()
+                    request.future.result(timeout=10)
+                    return abandon(request, outcome)
+
+                entry.abandon = abandon_after_settle
+                y = await gateway.submit("m", x, deadline=0.05)
+                assert y.shape == (_OUTPUT_DIM,)
+                stats = gateway.stats().models["m"]
+                assert stats.completed == 1
+                assert stats.deadline_exceeded == 0
+            await gateway.close()
+
+        asyncio.run(main())
+
     def test_deadline_during_worker_sigkill(self, archive_blob):
         """Expiry racing a worker crash: the caller unblocks with a real
         error, the admission slot frees, and the respawned worker serves."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.metrics import MetricsRegistry, parse_prometheus
+from repro.obs.metrics import Histogram, MetricSample, MetricsRegistry, parse_prometheus
 from repro.obs.trace import BufferExporter, Tracer, validate_span
 from repro.serve import Gateway
 
@@ -124,6 +124,60 @@ class TestExposition:
             registry.to_prometheus()
         )
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_exposition_agrees_with_stats(self, archive_blob, backend):
+        """/metrics and Gateway.stats() report the same numbers per model."""
+        registry = MetricsRegistry()
+        gateway = Gateway(metrics=registry, replica_backend=backend)
+        for name in ("a", "b"):
+            gateway.add_model(name, archive_blob, replicas=2, max_queue_depth=64)
+        x = np.ones(_INPUT_DIM, dtype=np.float32)
+        with gateway:
+            futures = [gateway.submit(name, x) for name in "aab" * 4]
+            for future in futures:
+                future.result(timeout=60)
+            series = parse_prometheus(registry.to_prometheus())
+            stats = gateway.stats()
+        gateway.close()
+
+        def per_model(family, name):
+            return [
+                (labels, value)
+                for labels, value in series[family]["samples"]
+                if labels["model"] == name
+            ]
+
+        outcome_fields = {
+            "submitted": "submitted", "completed": "completed", "failed": "failures",
+            "rejected": "rejected", "deadline_exceeded": "deadline_exceeded",
+            "cancelled": "cancelled",
+        }
+        assert stats.completed == len(futures)
+        for name, model in stats.models.items():
+            outcomes = {
+                labels["outcome"]: value
+                for labels, value in per_model("repro_gateway_requests_total", name)
+            }
+            assert outcomes == {
+                label: float(getattr(model, field))
+                for label, field in outcome_fields.items()
+            }
+            dispatched = per_model("repro_replica_dispatched_total", name)
+            assert sum(value for _, value in dispatched) == sum(
+                r.dispatched for r in model.replicas
+            )
+            (resident,) = per_model("repro_cache_resident_bytes", name)
+            assert resident[1] == model.cache_bytes
+            # Thread replicas hold private decoded caches; process replicas
+            # alias the shared segment and hold none.
+            assert (model.cache_bytes > 0) == (backend == "thread")
+            (count,) = per_model("repro_gateway_latency_seconds_count", name)
+            settled = (
+                model.completed + model.failures + model.deadline_exceeded
+                + model.cancelled
+            )
+            assert count[1] == settled == model.submitted
+
     def test_process_backend_worker_stage_series(self, archive_blob):
         registry = MetricsRegistry()
         gateway = Gateway(metrics=registry, replica_backend="process")
@@ -200,11 +254,21 @@ class TestMetricsCli:
 
     def test_renders_json_file(self, tmp_path, capsys):
         registry = MetricsRegistry()
-        registry.gauge("repro_depth", "queue depth").set(3)
+        hist = Histogram()
+        hist.observe(0.01)
+        registry.register_collector(lambda: [
+            MetricSample(name="repro_depth", kind="gauge", help="queue depth", value=3.0),
+            MetricSample(
+                name="repro_wait_seconds", kind="histogram", help="wait",
+                histogram=hist.to_dict(),
+            ),
+        ])
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(registry.to_json()))
         assert cli_main(["metrics", str(path)]) == 0
-        assert "repro_depth" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "repro_depth" in out
+        assert "repro_wait_seconds" in out
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["metrics", str(tmp_path / "nope.prom")]) == 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ import pytest
 from repro.serve.async_gateway import AsyncGateway
 from repro.serve.gateway import Gateway
 from repro.sim.driver import (
+    DriveResult,
+    check_accounting,
     drive_closed_loop,
     drive_closed_loop_async,
     drive_open_loop,
     drive_open_loop_async,
 )
 from repro.sim.workload import generate_trace
-from repro.utils.errors import ValidationError
+from repro.utils.errors import ReproError, ValidationError
 
 
 def _trace(*, deadline_s=None, rate=120.0, duration=0.4, seed=2):
@@ -284,3 +287,16 @@ class TestAsyncDrivers:
         assert held.models["tiny"].queue_depth == clients * burst - 1
         assert len(trace.requests) > clients * burst
         assert result.completed == result.offered == len(trace.requests)
+
+
+class TestCheckAccounting:
+    def test_gateway_deadline_count_must_match_expiries(self):
+        result = DriveResult(
+            mode="open", offered=5, completed=2, rejected=1, expired=2,
+            failures=0, deadline_misses=2, elapsed_s=1.0,
+        )
+        counts = dict(submitted=4, completed=2, rejected=1, failures=0, deadline_exceeded=2)
+        check_accounting("cell", result, SimpleNamespace(**counts))
+        counts["deadline_exceeded"] = 1  # one expiry the gateway never counted
+        with pytest.raises(ReproError, match="cell accounting broken"):
+            check_accounting("cell", result, SimpleNamespace(**counts))

@@ -17,7 +17,8 @@ from repro.sim.matrix import (
     normalize_policy,
     run_matrix,
 )
-from repro.utils.errors import ValidationError
+from repro.serve.gateway import Gateway
+from repro.utils.errors import ReproError, ValidationError
 
 TINY_SPEC = "fc6=24x32:0.2,fc7=12x24:0.2"
 
@@ -186,6 +187,29 @@ class TestRunMatrix:
         assert cell["frontdoor"] == "async"
         assert cell["completed"] > 0
         assert cell["failures"] == 0
+
+    def test_async_deadline_cell_accounts_every_expiry(self):
+        """A 1 ms budget expires most requests; the cell's exactly-once
+        check holds the driver's expiries against the gateway's count."""
+        config = _tiny_config(
+            policies=("round-robin",), frontdoors=("async",), duration_s=0.25,
+            deadline_ms=1.0,
+        )
+        (cell,) = run_matrix(config)["cells"]
+        assert cell["expired"] > 0
+        assert cell["completed"] + cell["expired"] + cell["rejected"] == cell["offered"]
+
+    def test_accounting_mismatch_fails_the_cell(self, monkeypatch):
+        real_stats = Gateway.stats
+
+        def miscounted(self):
+            stats = real_stats(self)
+            stats.completed += 1
+            return stats
+
+        monkeypatch.setattr(Gateway, "stats", miscounted)
+        with pytest.raises(ReproError, match="accounting broken"):
+            run_matrix(_tiny_config(policies=("round-robin",), duration_s=0.25))
 
     def test_closed_loop_mode(self):
         config = _tiny_config(
