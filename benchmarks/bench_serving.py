@@ -173,12 +173,13 @@ def bench_gateway_scaling() -> dict:
             f"{sweep[str(count)]['throughput_rps']:,.0f} req/s",
             f"{sweep[str(count)]['latency_ms'].get('p50', 0.0):.2f} ms",
             f"{sweep[str(count)]['latency_ms'].get('p99', 0.0):.2f} ms",
+            f"{sweep[str(count)]['mean_batch_size']:.2f}",
         ]
         for count in _REPLICA_SWEEP
     ]
-    rows.append(["4 vs 1", f"{scaling:.2f}x", "", ""])
+    rows.append(["4 vs 1", f"{scaling:.2f}x", "", "", ""])
     text = render_table(
-        ["replicas", "aggregate throughput", "p50", "p99"],
+        ["replicas", "aggregate throughput", "p50", "p99", "mean batch"],
         rows,
         title=(
             f"gateway scaling [{backend} backend]: 2 models (dense + sparse), "
@@ -297,54 +298,62 @@ def bench_async_front_door() -> dict:
     clients = 64
     requests_per_client = 8 if _smoke() else 32
 
-    async_rps, sync_rps = [], []
+    runs = {"async": [], "sync": []}
     for _ in range(3):
-        out = gateway_benchmark(
-            source,
-            frontdoor="async",
-            replicas=1,
-            clients=clients,
-            requests_per_client=requests_per_client,
-            backend="process",
-            max_concurrency=clients,
-            seed=0,
-            saturation_queue_depth=None,
-        )
-        assert out["failures"] == 0 and out["rejected"] == 0, out
-        async_rps.append(out["throughput_rps"])
-        out = gateway_benchmark(
-            source,
-            replicas=1,
-            clients=clients,
-            requests_per_client=requests_per_client,
-            backend="process",
-            max_concurrency=clients,
-            seed=0,
-            saturation_queue_depth=None,
-        )
-        assert out["failures"] == 0 and out["rejected"] == 0, out
-        sync_rps.append(out["throughput_rps"])
+        for frontdoor, outs in runs.items():
+            out = gateway_benchmark(
+                source,
+                frontdoor=frontdoor,
+                replicas=1,
+                clients=clients,
+                requests_per_client=requests_per_client,
+                backend="process",
+                max_concurrency=clients,
+                seed=0,
+                saturation_queue_depth=None,
+            )
+            assert out["failures"] == 0 and out["rejected"] == 0, out
+            outs.append(out)
 
-    best_async, best_sync = max(async_rps), max(sync_rps)
+    rps = {door: [out["throughput_rps"] for out in outs] for door, outs in runs.items()}
+    best = {
+        door: max(outs, key=lambda out: out["throughput_rps"])
+        for door, outs in runs.items()
+    }
+    best_async, best_sync = max(rps["async"]), max(rps["sync"])
     ratio = best_async / best_sync if best_sync else 0.0
     min_ratio = float(os.environ.get("REPRO_ASYNC_MIN_RATIO", "0.9"))
     print(
-        f"async front door vs sync front door @ {clients} clients: "
-        f"{best_async:,.0f} vs {best_sync:,.0f} req/s ({ratio:.2f}x, "
-        f"floor {min_ratio:.2f}x)"
+        render_table(
+            ["front door", "best throughput", "mean batch"],
+            [
+                [
+                    door,
+                    f"{out['throughput_rps']:,.0f} req/s",
+                    f"{out['mean_batch_size']:.2f}",
+                ]
+                for door, out in best.items()
+            ],
+            title=(
+                f"async vs sync front door @ {clients} clients, 1 process "
+                f"replica: {ratio:.2f}x (floor {min_ratio:.2f}x)"
+            ),
+        )
     )
     if min_ratio > 0.0:
         assert ratio >= min_ratio, (
             f"asyncio front door fell to {ratio:.2f}x of the sync front "
             f"door ({best_async:.0f} vs {best_sync:.0f} req/s at "
-            f"{clients} clients; async runs {async_rps}, "
-            f"thread runs {sync_rps})"
+            f"{clients} clients; async runs {rps['async']}, "
+            f"thread runs {rps['sync']})"
         )
     return {
         "clients": clients,
         "requests_per_client": requests_per_client,
         "async_rps": best_async,
         "thread_dispatcher_rps": best_sync,
+        "async_mean_batch_size": best["async"]["mean_batch_size"],
+        "sync_mean_batch_size": best["sync"]["mean_batch_size"],
         "ratio": ratio,
         "min_ratio": min_ratio,
     }

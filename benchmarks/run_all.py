@@ -73,6 +73,10 @@ def _extract_serving(raw: dict) -> dict:
     }
     for count, rate in sweep["throughput_rps"].items():
         metrics[f"gateway_rps_{count}"] = rate
+    # Requests per forward pass (info-only): whether batches fill under the
+    # sweep's burst load.
+    for count, run in sweep["sweep"].items():
+        metrics[f"gateway_mean_batch_{count}"] = run["mean_batch_size"]
     # Observability stamps (info-only: never gated — stage timings track
     # codec work that legitimately moves, the overhead delta is noise-sized
     # by design, and the hit rate depends on the access pattern).
@@ -100,6 +104,7 @@ def _extract_serving(raw: dict) -> dict:
     if async_fd:
         metrics["async_gateway_rps"] = async_fd["async_rps"]
         metrics["async_vs_thread_dispatcher_ratio"] = async_fd["ratio"]
+        metrics["async_mean_batch_size"] = async_fd["async_mean_batch_size"]
         gate.append("async_gateway_rps")
         directions["async_gateway_rps"] = "higher"
     # The primary sweep runs on the process backend by default; the script

@@ -23,6 +23,9 @@ module only adapts that stack to the loop:
 * **deadlines** — ``await submit(model, x, deadline=0.2)`` raises
   :class:`~repro.utils.errors.DeadlineExceeded` when the budget runs out,
   and **cancelling** the awaiting coroutine raises ``CancelledError``.
+  The budget counts from admission, so time spent dispatching the request
+  inline is spent from it; a request whose budget is gone by the time
+  ``submit`` would first await is abandoned at once.
   Both abandon the request in the admission core: a queued request leaves
   the queue at once (the queue-depth gauge drops, the next request can be
   admitted), while one already in service keeps its concurrency slot until
@@ -40,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
+import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Sequence
 
@@ -236,13 +240,22 @@ class AsyncGateway(Gateway):
     async def _result(
         self, entry: _Model, request: _Request, deadline: Optional[float]
     ) -> np.ndarray:
-        """Await one admitted request; a caller leaving abandons it."""
+        """Await one admitted request; a caller leaving abandons it.
+
+        The deadline counts from admission: whatever ``_enqueue`` spent
+        dispatching inline is already off the budget, and a request with
+        nothing left is abandoned without awaiting.
+        """
         waiter = self._loop.create_future()
         request.future.add_done_callback(lambda f: self._deliver(waiter, f))
         try:
             if deadline is None:
                 return await waiter
-            return await asyncio.wait_for(waiter, timeout=float(deadline))
+            budget = float(deadline) - (time.perf_counter() - request.enqueued)
+            if budget > 0:
+                return await asyncio.wait_for(waiter, timeout=budget)
+            waiter.cancel()
+            raise asyncio.TimeoutError
         except asyncio.TimeoutError:
             if not entry.abandon(request, "deadline_exceeded"):
                 # It settled in the same beat: that outcome stands, and the

@@ -138,7 +138,9 @@ def gateway_benchmark(
     ``trace_sample`` > 0 (with ``trace_path``) traces that fraction of the
     closed-loop requests into a span JSONL file; ``metrics_path`` dumps the
     metrics registry after the closed-loop phase (``.prom`` → Prometheus
-    text, else JSON).  Returns a JSON-ready dict.
+    text, else JSON).  Returns a JSON-ready dict; its ``mean_batch_size``
+    is the closed-loop phase's requests per forward pass over all replicas,
+    which shows whether batches still fill under the load.
     """
     if not sources:
         raise ValidationError("gateway_benchmark needs at least one model source")
@@ -212,6 +214,11 @@ def gateway_benchmark(
         if tracer is not None:
             tracer.close()
     check_accounting("closed-loop", run, stats)
+    servers = [
+        replica.server for model in stats.models.values() for replica in model.replicas
+    ]
+    batches = sum(server.batches for server in servers)
+    batch_items = sum(server.mean_batch_size * server.batches for server in servers)
 
     results: Dict = {
         "models": len(names),
@@ -228,6 +235,7 @@ def gateway_benchmark(
         "elapsed_s": run.elapsed_s,
         "throughput_rps": run.rps,
         "latency_ms": dict(stats.latencies_ms),
+        "mean_batch_size": batch_items / batches if batches else 0.0,
         "cache_bytes": stats.cache_bytes,
         "shared_bytes": stats.shared_bytes,
         "per_model": {

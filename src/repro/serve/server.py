@@ -9,11 +9,15 @@ network, and resolves each request's future with its probability row.
 
 The batching itself is :func:`serve_batches`, the one replica loop both
 backends run: this thread ``Server`` and the process worker
-(:mod:`repro.serve.worker`).  A batch closes when it is full *or* when its
-oldest request has waited ``max_batch_delay`` since it arrived.  The loop
-also owns the stacked forward pass and the replica span tree, so the two
-backends cannot drift apart; each supplies only its inbox and a ``reply``
-callback.
+(:mod:`repro.serve.worker`).  A batch closes when it is full, when nothing
+more is on the way (every request the backend sent is already taken), or
+when its oldest request has waited ``max_batch_delay`` since it arrived:
+below saturation the loop never idles for batch-mates that cannot come.
+Once a batch fills, later batches wait for mates until one closes with a
+single request.  The loop also owns the stacked forward pass and the
+replica span tree, so the two backends cannot drift apart; each supplies
+only its inbox, a ``reply`` callback and a ``sent`` count of the requests
+it has handed over.
 
 The forward pass is whatever the network's fc layers are running: dense
 BLAS matmuls, or — when the weights were installed from a sparse-mode
@@ -139,6 +143,7 @@ def serve_batches(
     batch_size: int,
     max_batch_delay: float,
     reply: Callable[..., None],
+    sent: Callable[[], int],
     profiled: bool = False,
 ) -> None:
     """The replica batching loop: batch, forward, span, reply — until ``None``.
@@ -150,10 +155,20 @@ def serve_batches(
     ``wall_arrived`` a ``time.time()`` one (read only for traced requests).
     A ``None`` item stops the loop after the batch it ends.
 
-    A batch closes when it holds ``batch_size`` requests or when its oldest
-    request has waited ``max_batch_delay`` since it *arrived*; past that
-    deadline only requests already queued (backlog built up during the
-    previous forward pass) still join — only *waiting* for more is bounded.
+    ``sent()`` is how many requests the backend has handed to this loop so
+    far; the loop counts the ones it has taken off ``inbox``.  A batch
+    closes when it holds ``batch_size`` requests, when nothing more is on
+    the way (``sent()`` equals the count taken), or when its oldest request
+    has waited ``max_batch_delay`` since it *arrived*.  Requests already
+    queued (backlog built up during the previous forward pass) always join
+    — only *waiting* for more is bounded.
+
+    The "nothing more on the way" rule is suspended while the replica is
+    saturated: after a full batch, later batches wait out the delay for
+    batch-mates too, until one closes with a single request.  A front
+    door that writes one request per step (the asyncio gateway resumes
+    each client coroutine in turn) otherwise looks idle between its
+    writes, and every batch would close at one request.
 
     Each batch runs one stacked forward pass.  Decode-on-demand weight
     fetches are collected, and the pass timed, only when a request in the
@@ -170,17 +185,20 @@ def serve_batches(
     success; on a failed pass ``error`` is the exception and ``outputs``,
     ``forward_ns`` and ``fetches`` are ``None`` with no spans.
     """
+    taken = 0
+    saturated = False
     stopping = False
     while not stopping:
         first = inbox.get()
         if first is None:
             return
+        taken += 1
         batch = [first]
         deadline = first[3] + max_batch_delay
         while len(batch) < batch_size:
             remaining = deadline - time.perf_counter()
             try:
-                if remaining > 0:
+                if remaining > 0 and (saturated or sent() > taken):
                     item = inbox.get(timeout=remaining)
                 else:
                     item = inbox.get_nowait()
@@ -189,7 +207,9 @@ def serve_batches(
             if item is None:
                 stopping = True
                 break
+            taken += 1
             batch.append(item)
+        saturated = len(batch) == batch_size or (saturated and len(batch) > 1)
         keys = [item[0] for item in batch]
         traced = [item for item in batch if item[2] is not None]
         forward_ns: Optional[int] = None
@@ -268,7 +288,7 @@ class Server:
         Maximum requests folded into one forward pass.
     max_batch_delay:
         Seconds the oldest queued request may wait, since its arrival,
-        for the batch to fill (see :func:`serve_batches`).
+        for batch-mates already submitted (see :func:`serve_batches`).
     """
 
     def __init__(
@@ -296,6 +316,7 @@ class Server:
         self._batch_items = 0
         self._failures = 0
         self._inflight = 0
+        self._submitted = 0  # this run's puts: the batching loop's ``sent``
         self._started_at = 0.0
         self._stopped_at: Optional[float] = None
 
@@ -329,6 +350,7 @@ class Server:
             self._batch_items = 0
             self._failures = 0
             self._inflight = 0
+            self._submitted = 0
             self._started_at = time.perf_counter()
             self._stopped_at = None
             # The loop exits only by consuming the shutdown sentinel: stop()
@@ -342,6 +364,7 @@ class Server:
                     self._batch_size,
                     self._max_batch_delay,
                     self._reply,
+                    lambda: self._submitted,
                 ),
                 name="repro-serve",
                 daemon=True,
@@ -398,6 +421,7 @@ class Server:
             if not self._running:
                 raise ValidationError("server is not running (call start())")
             self._inflight += 1
+            self._submitted += 1
             self._queue.put(request)
         return future
 

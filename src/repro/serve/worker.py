@@ -13,11 +13,14 @@ interpreter's GIL.  A *process* replica moves the hot loop out:
   — the one batching loop the in-process
   :class:`~repro.serve.server.Server` runs too — over the requests a
   reader thread drains off the request pipe: a batch closes when it is
-  full or when the oldest request has waited ``max_batch_delay`` since the
-  reader received it, then one forward pass answers the whole batch with a
-  single response message.  Because the pipe is always drained, a
-  parent-side send never waits on the worker's response writes, so one
-  parent thread may both send requests and read responses.
+  full, when nothing more is on the way (the parent's per-worker ``sent``
+  counter, a shared ``RawValue``, equals the requests taken; a saturated
+  replica keeps waiting regardless), or when the oldest request has waited
+  ``max_batch_delay`` since the reader received it; then one forward pass
+  answers the whole batch with a single response message.  Because the
+  pipe is always drained, a parent-side send never waits on the worker's
+  response writes, so one parent thread may both send requests and read
+  responses.
 * :class:`ProcessServer` is the parent-side handle with the same surface a
   :class:`~repro.serve.gateway.Replica` expects from a ``Server``
   (``start/stop/submit/infer/inflight/stats``), so the gateway's dispatch,
@@ -173,8 +176,13 @@ def _pump_requests(request_conn, inbox) -> None:
     inbox.put(None)
 
 
-def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
-    """Child entry: attach shared weights, answer batched requests."""
+def _worker_main(spec: WorkerSpec, request_conn, response_conn, sent) -> None:
+    """Child entry: attach shared weights, answer batched requests.
+
+    ``sent`` is the parent's shared count of requests written to
+    ``request_conn`` — what tells the batching loop whether a batch-mate
+    is still on the way.
+    """
     # Imported lazily: the parent-side module must stay importable without
     # pulling the gateway (gateway imports this module for ProcessServer).
     from repro.serve.gateway import ArchiveMLP
@@ -247,6 +255,7 @@ def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
             spec.batch_size,
             spec.max_batch_delay,
             reply,
+            lambda: sent.value,
             profiled=block is not None and obs_metrics.is_enabled(),
         )
         _send_safely(response_conn, ("bye",))
@@ -277,6 +286,7 @@ class _Link:
     process: multiprocessing.process.BaseProcess
     request_conn: object
     response_conn: object
+    sent: object  # shared count of requests written to request_conn
     shared_bytes: int = 0
     generation: int = 0
     pending: Dict[int, Pending] = field(default_factory=dict)
@@ -548,6 +558,7 @@ class ProcessServer:
                 if link.closed:
                     delivered = False
                 else:
+                    link.sent.value += 1
                     link.request_conn.send((req_id, sample, ctx))
         except Exception:
             # Worker just died mid-send; the receiver's crash handling will
@@ -586,6 +597,8 @@ class ProcessServer:
         # on process start plus the ready handshake.
         request_recv, request_send = self._ctx.Pipe(duplex=False)
         response_recv, response_send = self._ctx.Pipe(duplex=False)
+        # Written under send_lock only, read lock-free by the worker.
+        sent = self._ctx.RawValue("q", 0)
         spec = WorkerSpec(
             replica_id=self._replica_id,
             manifest=self._shared.manifest,
@@ -596,7 +609,7 @@ class ProcessServer:
         )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(spec, request_recv, response_send),
+            args=(spec, request_recv, response_send, sent),
             name=f"repro-worker-{self._replica_id}",
             daemon=True,
         )
@@ -609,6 +622,7 @@ class ProcessServer:
             process=process,
             request_conn=request_send,
             response_conn=response_recv,
+            sent=sent,
             generation=generation,
         )
         deadline = time.monotonic() + _READY_TIMEOUT_S

@@ -19,6 +19,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import BufferExporter, Tracer
 from repro.serve import AsyncGateway, HttpFrontDoor
+from repro.sim.driver import DriveResult, check_accounting
 from repro.utils.errors import (
     DeadlineExceeded,
     GatewayOverloaded,
@@ -257,6 +258,29 @@ class TestDeadlines:
                 assert recovered, "gateway did not recover after worker SIGKILL"
                 assert gateway._model("m").queued == 0
             await gateway.close()
+
+        asyncio.run(main())
+
+    def test_deadline_counts_from_admission(self, archive_blob):
+        """A budget spent before the first await (the inline dispatch)
+        expires the request even when the replica would answer at once."""
+
+        async def main():
+            gateway = AsyncGateway(replica_backend="thread")
+            gateway.add_model("m", archive_blob, replicas=1)
+            x = np.ones(_INPUT_DIM, dtype=np.float32)
+            async with gateway:
+                for _ in range(20):
+                    with pytest.raises(DeadlineExceeded):
+                        await gateway.submit("m", x, deadline=1e-6)
+                stats = gateway.stats()
+            await gateway.close()
+            result = DriveResult(
+                mode="closed", offered=20, completed=0, rejected=0, expired=20,
+                failures=0, deadline_misses=20, elapsed_s=0.0,
+            )
+            check_accounting("deadline", result, stats)
+            assert stats.deadline_exceeded == 20
 
         asyncio.run(main())
 

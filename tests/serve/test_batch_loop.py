@@ -118,3 +118,55 @@ def test_batch_deadline_runs_from_arrival(start_replica, wait_until):
     assert time.perf_counter() - released < 0.5
     for future in first:
         np.testing.assert_array_equal(future.result(timeout=60), _X)
+
+
+def test_lone_request_does_not_wait_for_batch_mates(start_replica):
+    """Nothing else was sent, so the batch closes at once: the delay caps a
+    wait for requests on the way, it is never paid for ones that are not."""
+    server = start_replica(_NetworkFactory(), batch_size=16, max_batch_delay=1.0)
+    submitted = time.perf_counter()
+    np.testing.assert_array_equal(server.submit(_X).result(timeout=60), _X)
+    assert time.perf_counter() - submitted < 0.5
+
+
+def test_backlog_still_fills_a_batch(start_replica):
+    """Requests queued behind a busy forward pass go out as one batch."""
+    factory = _NetworkFactory(gated=True)
+    server = start_replica(factory, batch_size=16, max_batch_delay=1.0)
+    futures = [server.submit(_X)]
+    assert factory.started.wait(60)
+    futures += [server.submit(_X) for _ in range(16)]
+    factory.release.set()
+    for future in futures:
+        np.testing.assert_array_equal(future.result(timeout=60), _X)
+    stats = server.stats()
+    assert stats.batches == 2
+    assert stats.mean_batch_size == 8.5
+
+
+def test_saturated_replica_waits_for_batch_mates(start_replica, wait_until):
+    """Once a batch has filled, the next one waits for mates up to the
+    delay even with nothing on the way: a front door writing one request
+    at a time must not split a saturated load into one-request batches."""
+    factory = _NetworkFactory(gated=True)
+    server = start_replica(factory, batch_size=2, max_batch_delay=30.0)
+    futures = [server.submit(_X)]
+    assert factory.started.wait(60)
+    futures += [server.submit(_X) for _ in range(2)]  # backlog: a full batch
+    factory.release.set()
+    for future in futures:
+        future.result(timeout=60)
+    lone = server.submit(_X)
+    submitted = time.perf_counter()
+    wait_until(
+        lambda: time.perf_counter() - submitted >= 0.2,
+        timeout=30,
+        message="the lone request to wait",
+    )
+    assert not lone.done()
+    mate = server.submit(_X)
+    for future in (lone, mate):
+        np.testing.assert_array_equal(future.result(timeout=60), _X)
+    stats = server.stats()
+    assert stats.batches == 3
+    assert stats.mean_batch_size == 5 / 3

@@ -14,6 +14,7 @@ replica servers' cross-process ``inflight`` gauges.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -32,6 +33,7 @@ from repro.serve.worker import ProcessServer
 from repro.utils.errors import ReplicaCrashed, ValidationError
 
 _INPUT_DIM = 160  # fc6 of the session model is 96x160
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 def _repro_segments() -> set:
@@ -48,6 +50,33 @@ def make_session_network() -> Network:
         ],
         name="session-mlp",
     )
+
+
+class _GatedSessionNetwork(Network):
+    """The session network with every forward pass held at a gate."""
+
+    def __init__(self, gate):
+        super().__init__(make_session_network().layers, name="session-mlp")
+        self._gate = gate
+
+    def forward(self, x, training=False):
+        if self._gate.acquire(timeout=60):
+            self._gate.release()  # pass-through: once open, it stays open
+        return super().forward(x, training)
+
+
+class _GatedFactory:
+    """Picklable ``network_factory`` whose networks wait for ``gate``.
+
+    The gate is a semaphore, not an ``Event``: ``Event.set`` waits for every
+    sleeper to wake, so a worker SIGKILLed mid-wait would wedge the opener.
+    """
+
+    def __init__(self):
+        self.gate = _SPAWN.Semaphore(0)
+
+    def __call__(self):
+        return _GatedSessionNetwork(self.gate)
 
 
 @pytest.fixture()
@@ -181,12 +210,13 @@ class TestCrashContainment:
     ):
         before = _repro_segments()
         gateway = Gateway(replica_backend="process")
-        # Batches larger than the traffic plus a long batch delay park the
-        # requests inside the workers, holding a deterministic kill window
-        # open; round-robin splits them 2/2 across the replicas.
+        # Gated forward passes park the requests inside the workers, holding
+        # a deterministic kill window open; round-robin splits them 2/2
+        # across the replicas.
+        factory = _GatedFactory()
         gateway.add_model(
             "m", archive_blob, replicas=2, policy="round-robin",
-            batch_size=8, max_batch_delay=1.5,
+            network_factory=factory,
         )
         with gateway:
             servers = [r.server for r in gateway._models["m"].replicas]
@@ -197,6 +227,12 @@ class TestCrashContainment:
             )
             victim_pid = servers[0].worker_pid
             os.kill(victim_pid, signal.SIGKILL)
+            # With the gate shut, only the killed replica's requests settle.
+            wait_until(
+                lambda: sum(f.done() for f in futures) == 2,
+                message="the killed replica's requests to fail",
+            )
+            factory.gate.release()
 
             survived, crashed = [], 0
             for future in futures:
@@ -230,8 +266,9 @@ class TestCrashContainment:
     def test_respawn_budget_exhaustion_marks_replica_dead(self, archive_blob):
         store = shared_weight_store()
         shared = store.acquire(archive_blob)
+        # The shut gate parks the request in the worker until the kill.
         server = ProcessServer(
-            "m/0", batch_size=8, max_batch_delay=1.5, max_respawns=0
+            "m/0", network_factory=_GatedFactory(), max_respawns=0
         )
         server.set_shared(shared)
         try:

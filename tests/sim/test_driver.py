@@ -228,14 +228,22 @@ class TestAsyncDrivers:
         assert result.completed > 0
 
     def test_open_loop_enforced_deadline_expires(self, tiny_archive, tiny_input):
-        # A 2ms budget at high rate against batch_size=4: the queue wait
-        # alone blows the budget for a measurable share of requests.
+        # A 2ms budget against a replica held busy until the replay is
+        # over: the one request in service and every request parked behind
+        # it run out of time, however fast a free replica would answer.
+        gate = threading.Event()
         trace = _trace(deadline_s=0.002, rate=400.0, duration=0.25, seed=9)
 
-        result = self._run(
-            tiny_archive,
-            lambda gw: drive_open_loop_async(gw, trace, {"tiny": tiny_input}),
-        )
+        async def _main():
+            gw = _gated(AsyncGateway(), tiny_archive, gate, max_queue_depth=64)
+            await gw.start()
+            try:
+                return await drive_open_loop_async(gw, trace, {"tiny": tiny_input})
+            finally:
+                gate.set()
+                await gw.close()
+
+        result = asyncio.run(_main())
         assert result.expired > 0
         assert result.deadline_misses >= result.expired
         settled = result.completed + result.rejected + result.expired + result.failures

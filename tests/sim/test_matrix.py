@@ -189,11 +189,13 @@ class TestRunMatrix:
         assert cell["failures"] == 0
 
     def test_async_deadline_cell_accounts_every_expiry(self):
-        """A 1 ms budget expires most requests; the cell's exactly-once
-        check holds the driver's expiries against the gateway's count."""
+        """A 1 µs budget, below the replica's minimum service time, expires
+        most requests however fast the replica answers; the cell's
+        exactly-once check holds the driver's expiries against the
+        gateway's count."""
         config = _tiny_config(
             policies=("round-robin",), frontdoors=("async",), duration_s=0.25,
-            deadline_ms=1.0,
+            deadline_ms=0.001,
         )
         (cell,) = run_matrix(config)["cells"]
         assert cell["expired"] > 0
