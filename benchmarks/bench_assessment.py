@@ -1,9 +1,10 @@
 """Assessment-engine benchmark: parallel + activation reuse vs serial Step 2.
 
 Step 2 (error-bound assessment) is the hottest remaining path of the
-pipeline: every candidate ``(layer, error bound)`` pays a compress/decompress
-and a test-set forward pass.  This benchmark times Algorithm 1 on a synthetic
-trained LeNet-300-100 workload two ways:
+pipeline: every candidate ``(layer, error bound)`` pays one encode (the
+codec returns the reconstruction a decode would give) and a test-set
+forward pass.  This benchmark times Algorithm 1 on a synthetic trained
+LeNet-300-100 workload two ways:
 
 * **serial baseline** — the historical path: one candidate at a time through
   :func:`evaluate_candidate`, full forward pass and a fresh index-array

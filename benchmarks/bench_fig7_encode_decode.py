@@ -177,6 +177,56 @@ def bench_fig7b_decoding_breakdown(benchmark):
     assert set(deepsz_phases) == {"lossless", "sz", "csr"}
 
 
+def _residual_like_stream() -> np.ndarray:
+    """2M Huffman symbols distributed like the SZ pipeline's residuals."""
+    rng = np.random.default_rng(7)
+    return np.rint(rng.standard_normal(2_000_000) * 3).astype(np.int64)
+
+
+def bench_fig7_huffman_encode_throughput(benchmark):
+    """Encode throughput and peak allocation of the Huffman word packer.
+
+    Same stream as :func:`bench_fig7_huffman_decode_throughput`.  Reported
+    only: the packer places each code into at most two 64-bit words, so its
+    temporaries are per-symbol words, never per-bit, and the tracemalloc
+    peak is the number to watch when changing it.
+    """
+    import tracemalloc
+
+    from repro.sz.huffman import HuffmanCodec
+
+    symbols = _residual_like_stream()
+    codec = HuffmanCodec()
+    codec.encode(symbols)  # warm-up
+
+    start = time.perf_counter()
+    blob = codec.encode(symbols)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        codec.encode(symbols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(codec.decode(blob), symbols)
+
+    rows = [
+        ["symbols", f"{symbols.size:,}"],
+        ["encoded bytes", f"{len(blob):,}"],
+        ["encode wall-clock", f"{seconds:.3f} s"],
+        ["throughput", f"{symbols.size / max(seconds, 1e-9) / 1e6:.2f} Msymbols/s"],
+        ["tracemalloc peak", f"{peak / 1e6:.1f} MB"],
+    ]
+    text = render_table(
+        ["metric", "value"],
+        rows,
+        title="Huffman encode throughput (word packer)",
+    )
+    write_result("fig7_huffman_encode_throughput", text)
+
+    benchmark(lambda: codec.encode(symbols))
+
+
 def bench_fig7_huffman_decode_throughput(benchmark):
     """Decode throughput of the vectorised Huffman kernel.
 
@@ -187,8 +237,7 @@ def bench_fig7_huffman_decode_throughput(benchmark):
     """
     from repro.sz.huffman import HuffmanCodec
 
-    rng = np.random.default_rng(7)
-    symbols = np.rint(rng.standard_normal(2_000_000) * 3).astype(np.int64)
+    symbols = _residual_like_stream()
     codec = HuffmanCodec()
     blob = codec.encode(symbols)
 

@@ -14,6 +14,10 @@ A codec is a stateless object with two byte-oriented entry points:
   shared option set to interchangeable codecs.
 * ``decompress(payload, **options)`` — returns a ``float32`` array for array
   codecs and ``bytes`` for byte codecs.
+* ``compress_and_reconstruct(data, **options)`` — the payload together with
+  what ``decompress`` returns for it.  The default runs both calls; a codec
+  whose encoder already holds the reconstruction (SZ) overrides it to skip
+  the decode.
 
 Capabilities are declared up front in :class:`CodecInfo` so callers can
 filter (e.g. "error-bounded array codecs only") before committing to a name.
@@ -84,6 +88,19 @@ class Codec(abc.ABC):
     @abc.abstractmethod
     def decompress(self, payload: bytes, **options) -> Union[np.ndarray, bytes]:
         """Invert :meth:`compress`."""
+
+    def compress_and_reconstruct(
+        self, data: Union[np.ndarray, bytes], **options
+    ) -> tuple[bytes, Union[np.ndarray, bytes]]:
+        """``(payload, decompress(payload))`` for ``compress(data)``.
+
+        Overrides must return the same payload bytes as :meth:`compress` and
+        a reconstruction bitwise equal to :meth:`decompress` of it.  The
+        payload is self-describing, so the default decodes it with no
+        options.
+        """
+        payload = self.compress(data, **options)
+        return payload, self.decompress(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.info.name!r}>"

@@ -74,6 +74,16 @@ class SZCodec(Codec):
         """Compress and return the full :class:`SZCompressionResult`."""
         return SZCompressor(self._config(**options)).compress(data, workers=workers)
 
+    def compress_and_reconstruct(
+        self, data: np.ndarray, *, workers: int = 1, **options
+    ) -> tuple[bytes, np.ndarray]:
+        """One encode, no decode: the reconstruction comes from the encoder's
+        own quantization codes (see :meth:`SZCompressor.compress_and_reconstruct`)."""
+        result, recon = SZCompressor(self._config(**options)).compress_and_reconstruct(
+            data, workers=workers
+        )
+        return result.payload, recon
+
     def decompress(self, payload: bytes, *, workers: int = 1, **_options) -> np.ndarray:
         return SZCompressor().decompress(payload, workers=workers)
 

@@ -1,10 +1,11 @@
 """Parallel, cache-reusing error-bound assessment engine.
 
 Step 2 dominates DeepSZ's end-to-end time: every candidate ``(layer, error
-bound)`` pays a compress/decompress *and* a test-set forward pass, and the
-historical implementation ran them strictly serially while mutating the
-shared network (``set_weights`` / restore), which blocked any fan-out.  This
-module replaces that with an engine built on three ideas:
+bound)`` pays one encode (whose reconstruction stands in for a decode) *and*
+a test-set forward pass, and the historical implementation ran them strictly
+serially while mutating the shared network (``set_weights`` / restore),
+which blocked any fan-out.  This module replaces that with an engine built
+on three ideas:
 
 **Purity.**  A candidate evaluation is a pure function of (layer content,
 error bound, codec config, test set): the reconstructed weights are
@@ -31,7 +32,8 @@ count — but they are still persisted to the optional
 runs (and even over-speculated candidates) make future assessments
 incremental.  The expensive shared setup (per-layer index lossless fits,
 the checkpoint forward pass) is computed lazily on the first cache *miss*,
-so a fully cached run touches neither.
+so a fully cached run touches neither.  The index fits it did compute ride
+out on :attr:`AssessmentResult.index_fits` for Step 4 to reuse.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from repro.core.assessment import (
     assess_layer,
     bound_key,
     checkpoint_activations,
-    index_blob_bytes,
+    index_fit,
     reconstruct_candidate,
     _fine_bounds,
 )
@@ -153,7 +155,7 @@ class AssessmentEngine:
         self._test_labels: Optional[np.ndarray] = None
         # Lazily built shared state (first cache miss pays for it, a fully
         # cached run never does); guarded for the thread fan-out.
-        self._index_bytes: Dict[str, int] = {}
+        self._index_fits: Dict[str, Tuple[str, bytes]] = {}
         self._index_lock = threading.Lock()
         self._checkpoints: Optional[Dict[str, np.ndarray]] = None
         self._checkpoint_lock = threading.Lock()
@@ -161,18 +163,20 @@ class AssessmentEngine:
 
     # -- lazy shared state -------------------------------------------------
     def _layer_index_bytes(self, ctx: _LayerContext) -> int:
-        """The layer's lossless index size, computed at most ~once.
+        """The layer's lossless index size, fitted at most ~once.
 
-        Error-bound-independent, so candidates share it; computed outside
-        the lock (a rare duplicate computation is pure and benign, while
-        holding the lock would serialise unrelated layers' lzma/bz2 fits).
+        Error-bound-independent, so candidates share it; the fit itself is
+        kept for Step 4.  Computed outside the lock (a rare duplicate
+        computation is pure and benign, while holding the lock would
+        serialise unrelated layers' lzma/bz2 fits).
         """
         with self._index_lock:
-            if ctx.name in self._index_bytes:
-                return self._index_bytes[ctx.name]
-        size = index_blob_bytes(ctx.sparse, self.config)
-        with self._index_lock:
-            return self._index_bytes.setdefault(ctx.name, size)
+            fit = self._index_fits.get(ctx.name)
+        if fit is None:
+            fit = index_fit(ctx.sparse, self.config)
+            with self._index_lock:
+                fit = self._index_fits.setdefault(ctx.name, fit)
+        return len(fit[1])
 
     def _layer_checkpoint(
         self, network: Network, ctx: _LayerContext
@@ -330,7 +334,7 @@ class AssessmentEngine:
         self.stats = EngineStats()
         self._test_images = test_images
         self._test_labels = test_labels
-        self._index_bytes = {}
+        self._index_fits = {}
         self._checkpoints = None
         try:
             baseline = network.accuracy(
@@ -370,6 +374,7 @@ class AssessmentEngine:
             tests_performed=total_tests,
             evaluations=self.stats.evaluations,
             cache_hits=self.stats.cache_hits,
+            index_fits=dict(self._index_fits),
         )
 
     def _point(

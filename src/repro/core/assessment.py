@@ -2,9 +2,11 @@
 
 For every fc-layer the assessment compresses the layer's pruned *data array*
 with SZ at a series of error bounds, rebuilds the dense weight matrix from the
-decompressed values (all other layers untouched), runs the forward pass on the
-test set and records the accuracy degradation and the compressed size.  The
-sweep follows Algorithm 1:
+reconstructed values (all other layers untouched), runs the forward pass on
+the test set and records the accuracy degradation and the compressed size.
+One candidate costs one encode: the codec hands back the payload together
+with the values a decode would produce (:meth:`Codec.compress_and_reconstruct`),
+so no payload is decoded during the sweep.  The sweep follows Algorithm 1:
 
 * a coarse scan over ``{1e-3, 1e-2, 1e-1}`` finds the decade in which the
   degradation first exceeds the distortion criterion (0.1% absolute);
@@ -167,6 +169,10 @@ class AssessmentResult:
     evaluations: int = 0
     #: Candidate results served from a persistent AssessmentCache.
     cache_hits: int = 0
+    #: Best-fit lossless ``(backend, blob)`` of each layer's index array,
+    #: for the layers whose fit the assessment computed.  Step 4 reuses
+    #: them instead of fitting again (:meth:`DeepSZEncoder.encode`).
+    index_fits: Dict[str, tuple[str, bytes]] = field(default_factory=dict)
 
     def candidates(self) -> Dict[str, List[AssessmentPoint]]:
         """Per-layer candidate lists for the optimizer."""
@@ -176,34 +182,33 @@ class AssessmentResult:
 def reconstruct_candidate(
     sparse_layer: SparseLayer, error_bound: float, config: AssessmentConfig
 ) -> tuple[np.ndarray, int]:
-    """Compress/decompress one layer's data array at ``error_bound``.
+    """Encode one layer's data array at ``error_bound``.
 
     Returns the reconstructed dense weight matrix and the size in bytes of
     the compressed data array (the error-bound-dependent half of a
-    candidate's compressed size).
+    candidate's compressed size).  The reconstruction is the one a decode
+    of the payload would give, taken from the same encode.
     """
     codec = get_codec(config.data_codec)
-    payload = codec.compress(
+    payload, reconstructed = codec.compress_and_reconstruct(
         sparse_layer.data,
         error_bound=error_bound,
         capacity=config.capacity,
         lossless=config.lossless,
         chunk_size=config.chunk_size,
     )
-    decompressed = codec.decompress(payload)
-    return decode_sparse(sparse_layer, data=decompressed), len(payload)
+    return decode_sparse(sparse_layer, data=reconstructed), len(payload)
 
 
-def index_blob_bytes(sparse_layer: SparseLayer, config: AssessmentConfig) -> int:
-    """Best-fit lossless size of the layer's index array.
+def index_fit(sparse_layer: SparseLayer, config: AssessmentConfig) -> tuple[str, bytes]:
+    """Best-fit lossless ``(backend, blob)`` of the layer's index array.
 
     Independent of the error bound, so the assessment engine computes it
-    once per layer instead of once per candidate.
+    once per layer instead of once per candidate, and Step 4 reuses it.
     """
-    _, index_blob = best_fit_lossless(
+    return best_fit_lossless(
         sparse_layer.index.tobytes(), config.index_lossless_candidates
     )
-    return len(index_blob)
 
 
 def accuracy_with_substitution(
@@ -252,10 +257,11 @@ def evaluate_candidate(
     """Accuracy and compressed size with one layer reconstructed at ``error_bound``.
 
     This is the unit of work Algorithm 1 repeats and the parallel harness
-    distributes: compress the layer's data array with SZ, decompress it,
-    rebuild the dense weights through the index array, and run the forward
-    pass with those weights substituted *functionally* — the network is
-    never mutated, so candidates are pure tasks that can run concurrently.
+    distributes: compress the layer's data array with SZ (keeping the
+    values a decode would give), rebuild the dense weights through the
+    index array, and run the forward pass with those weights substituted
+    *functionally* — the network is never mutated, so candidates are pure
+    tasks that can run concurrently.
 
     ``activations`` optionally supplies the checkpointed inputs of
     ``layer_name`` (see :meth:`Network.forward_to`); without it the
@@ -266,7 +272,7 @@ def evaluate_candidate(
 
     config = config or AssessmentConfig()
     dense, payload_bytes = reconstruct_candidate(sparse_layer, error_bound, config)
-    compressed_bytes = payload_bytes + index_blob_bytes(sparse_layer, config)
+    compressed_bytes = payload_bytes + len(index_fit(sparse_layer, config)[1])
     if isinstance(network[layer_name], Dense):
         if activations is None:
             activations = checkpoint_activations(

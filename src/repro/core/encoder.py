@@ -197,9 +197,12 @@ class CompressedModel:
 
 
 def _encode_layer_task(
-    args: tuple[str, SparseLayer, float, dict],
+    args: tuple[str, SparseLayer, float, dict, tuple[str, bytes] | None],
 ) -> tuple[CompressedLayer, float]:
     """Pool task: compress one layer; returns (layer, encode seconds).
+
+    A given index fit ``(backend, blob)`` is used as is; without one the
+    index array gets its best-fit lossless selection here.
 
     The task carries the codec *instance* (stateless, pickled by class
     reference) rather than resolving the registry name in the worker:
@@ -208,7 +211,7 @@ def _encode_layer_task(
     """
     import time
 
-    name, sparse_layer, error_bound, params = args
+    name, sparse_layer, error_bound, params, index_fit = args
     start = time.perf_counter()
     codec = params["codec"]
     payload = codec.compress(
@@ -219,7 +222,7 @@ def _encode_layer_task(
         chunk_size=params["chunk_size"],
         workers=params["chunk_workers"],
     )
-    backend_name, index_blob = best_fit_lossless(
+    backend_name, index_blob = index_fit or best_fit_lossless(
         sparse_layer.index.tobytes(), params["index_codecs"]
     )
     layer = CompressedLayer(
@@ -300,7 +303,7 @@ class DeepSZEncoder:
         """Compress one layer: the data codec on the data array, best-fit
         lossless on the index."""
         layer, _ = _encode_layer_task(
-            (name, sparse_layer, error_bound, self._codec_params())
+            (name, sparse_layer, error_bound, self._codec_params(), None)
         )
         return layer
 
@@ -311,8 +314,14 @@ class DeepSZEncoder:
         error_bounds: Mapping[str, float],
         *,
         expected_accuracy_loss: float = 0.0,
+        index_fits: Mapping[str, tuple[str, bytes]] | None = None,
     ) -> CompressedModel:
         """Compress every layer with its chosen error bound.
+
+        ``index_fits`` maps layer names to an index best-fit ``(backend,
+        blob)`` already computed over this encoder's candidates — Step 2's
+        :attr:`AssessmentResult.index_fits` — so those layers skip the fit;
+        the other layers are fitted here.
 
         With ``workers > 1`` the layers are encoded concurrently; the
         recorded per-layer timings are then the workers' own encode times
@@ -322,8 +331,9 @@ class DeepSZEncoder:
         if missing:
             raise ValidationError(f"no error bound chosen for layers: {sorted(missing)}")
         params = self._codec_params()
+        fits = index_fits or {}
         tasks = [
-            (name, sparse_layer, float(error_bounds[name]), params)
+            (name, sparse_layer, float(error_bounds[name]), params, fits.get(name))
             for name, sparse_layer in sparse_layers.items()
         ]
         results = TaskPool(self.workers).map(_encode_layer_task, tasks)

@@ -290,11 +290,14 @@ class DeepSZ:
             chunk_size=cfg.chunk_size,
             workers=cfg.workers,
         )
+        # Step 2 fitted the index arrays with the same candidates; a layer
+        # it did not fit (cache hits, a custom evaluator) is fitted here.
         model = encoder.encode(
             network.name,
             sparse_layers,
             plan.error_bounds,
             expected_accuracy_loss=cfg.expected_accuracy_loss,
+            index_fits=assessment.index_fits,
         )
         encoding_seconds = encode_timer.stop()
 

@@ -46,7 +46,7 @@ from repro.sz.config import PredictorKind, SZConfig
 from repro.sz.huffman import HuffmanCodec
 from repro.sz.lossless import best_fit_backend, get_backend
 from repro.sz.predictor import lorenzo_decode, lorenzo_encode
-from repro.sz.quantizer import LinearQuantizer
+from repro.sz.quantizer import LinearQuantizer, QuantizationResult
 from repro.sz.regression import AdaptivePrediction, adaptive_decode, adaptive_encode
 from repro.utils.bytesio import read_named_sections, write_named_sections
 from repro.utils.errors import DecompressionError
@@ -107,11 +107,14 @@ class SZCompressionResult:
         return 8.0 * self.compressed_bytes / count
 
 
-def _encode_raw(data: np.ndarray, abs_bound: float, cfg: SZConfig) -> tuple[bytes, int]:
+def _encode_raw(
+    data: np.ndarray, abs_bound: float, cfg: SZConfig
+) -> tuple[bytes, QuantizationResult]:
     """Quantize + predict + Huffman-code one array into a raw inner payload.
 
-    Returns ``(raw_payload, outlier_count)``.  The raw payload is the
-    pre-lossless stream shared by the v1 body and every v2 chunk.
+    Returns ``(raw_payload, quantization)``.  The raw payload is the
+    pre-lossless stream shared by the v1 body and every v2 chunk; the
+    quantization is what :func:`_reconstruct` turns into the decoded array.
     """
     quantizer = LinearQuantizer(abs_bound, capacity=cfg.capacity)
     qr = quantizer.quantize(data)
@@ -146,7 +149,18 @@ def _encode_raw(data: np.ndarray, abs_bound: float, cfg: SZConfig) -> tuple[byte
         "outlier_count": int(qr.outlier_count),
         **extra_meta,
     }
-    return write_named_sections(sections, meta=meta), int(qr.outlier_count)
+    return write_named_sections(sections, meta=meta), qr
+
+
+def _reconstruct(qr: QuantizationResult, abs_bound: float, cfg: SZConfig) -> np.ndarray:
+    """The array :func:`_decode_raw` returns for the payload of ``qr``.
+
+    Prediction and Huffman coding are lossless on the integer codes and the
+    outlier literals are stored as the same float32 values, so dequantizing
+    the encoder's own quantization is bitwise what the decoder produces.
+    """
+    quantizer = LinearQuantizer(abs_bound, capacity=cfg.capacity)
+    return quantizer.dequantize(qr.codes, qr.outlier_mask, qr.outliers)
 
 
 def _decode_raw(raw_payload: bytes) -> np.ndarray:
@@ -212,12 +226,16 @@ def _apply_lossless(raw_payload: bytes, lossless: str) -> tuple[bytes, str]:
     return compressed, backend.name
 
 
-def _encode_chunk_task(args: tuple[np.ndarray, float, SZConfig]) -> tuple[bytes, str, int]:
-    """Pool task: encode one chunk to its lossless-compressed payload."""
-    chunk, abs_bound, cfg = args
-    raw, outlier_count = _encode_raw(chunk, abs_bound, cfg)
+def _encode_chunk_task(
+    args: tuple[np.ndarray, float, SZConfig, bool],
+) -> tuple[bytes, str, int, np.ndarray | None]:
+    """Pool task: encode one chunk to its lossless-compressed payload, plus
+    its reconstruction when asked for."""
+    chunk, abs_bound, cfg, reconstruct = args
+    raw, qr = _encode_raw(chunk, abs_bound, cfg)
     compressed, backend_name = _apply_lossless(raw, cfg.lossless)
-    return compressed, backend_name, outlier_count
+    recon = _reconstruct(qr, abs_bound, cfg) if reconstruct else None
+    return compressed, backend_name, qr.outlier_count, recon
 
 
 def _decode_chunk_task(args: tuple[bytes, str]) -> np.ndarray:
@@ -241,43 +259,57 @@ class SZCompressor:
         ``workers`` parallelises chunk encoding for v2 (chunked) payloads;
         the payload bytes are identical for every worker count.
         """
+        return self._compress(data, workers, reconstruct=False)[0]
+
+    def compress_and_reconstruct(
+        self, data: np.ndarray, *, workers: int = 1
+    ) -> tuple[SZCompressionResult, np.ndarray]:
+        """:meth:`compress`, plus the array :meth:`decompress` would return
+        for the payload, taken from the encoder's own quantization instead
+        of a decode (bitwise equal; see :func:`_reconstruct`)."""
+        return self._compress(data, workers, reconstruct=True)  # type: ignore[return-value]
+
+    def _compress(
+        self, data: np.ndarray, workers: int, reconstruct: bool
+    ) -> tuple[SZCompressionResult, np.ndarray | None]:
         data = as_float32_1d(data)
         cfg = self.config
         abs_bound = cfg.absolute_bound(data)
         if cfg.chunk_size is not None:
-            return self._compress_chunked(data, abs_bound, workers)
+            return self._compress_chunked(data, abs_bound, workers, reconstruct)
 
-        raw_payload, outlier_count = _encode_raw(data, abs_bound, cfg)
+        raw_payload, qr = _encode_raw(data, abs_bound, cfg)
         compressed, backend_name = _apply_lossless(raw_payload, cfg.lossless)
         final = write_named_sections(
             {"body": compressed}, meta={"magic": _MAGIC, "lossless": backend_name}
         )
-        return SZCompressionResult(
+        result = SZCompressionResult(
             payload=final,
             original_bytes=int(data.size) * 4,
             compressed_bytes=len(final),
             absolute_bound=float(abs_bound),
             lossless_backend=backend_name,
-            outlier_count=outlier_count,
+            outlier_count=qr.outlier_count,
         )
+        return result, _reconstruct(qr, abs_bound, cfg) if reconstruct else None
 
     def _compress_chunked(
-        self, data: np.ndarray, abs_bound: float, workers: int
-    ) -> SZCompressionResult:
+        self, data: np.ndarray, abs_bound: float, workers: int, reconstruct: bool
+    ) -> tuple[SZCompressionResult, np.ndarray | None]:
         cfg = self.config
         chunk_size = int(cfg.chunk_size)  # type: ignore[arg-type]
         n = int(data.size)
         num_chunks = -(-n // chunk_size) if n else 0
         tasks = [
-            (data[i * chunk_size : (i + 1) * chunk_size], abs_bound, cfg)
+            (data[i * chunk_size : (i + 1) * chunk_size], abs_bound, cfg, reconstruct)
             for i in range(num_chunks)
         ]
         results = TaskPool(workers).map(_encode_chunk_task, tasks)
 
-        sections = {f"chunk/{i}": payload for i, (payload, _, _) in enumerate(results)}
+        sections = {f"chunk/{i}": payload for i, (payload, *_) in enumerate(results)}
         chunk_counts = [int(task[0].size) for task in tasks]
-        backends = [backend for _, backend, _ in results]
-        outlier_count = sum(outliers for _, _, outliers in results)
+        backends = [backend for _, backend, _, _ in results]
+        outlier_count = sum(outliers for _, _, outliers, _ in results)
         meta = {
             "magic": _MAGIC_V2,
             "count": n,
@@ -290,7 +322,7 @@ class SZCompressor:
         }
         final = write_named_sections(sections, meta=meta)
         distinct = sorted(set(backends))
-        return SZCompressionResult(
+        result = SZCompressionResult(
             payload=final,
             original_bytes=n * 4,
             compressed_bytes=len(final),
@@ -301,6 +333,11 @@ class SZCompressor:
             outlier_count=int(outlier_count),
             num_chunks=num_chunks,
         )
+        if not reconstruct:
+            return result, None
+        if not results:
+            return result, np.zeros(0, dtype=np.float32)
+        return result, np.concatenate([recon for *_, recon in results])
 
     # -- decompression ----------------------------------------------------
     def decompress(self, payload: bytes, *, workers: int = 1) -> np.ndarray:

@@ -6,11 +6,14 @@ carries only the (symbol, code-length) table — the actual codes are
 reconstructed canonically on both sides, which keeps the header small and the
 decoder deterministic.
 
-Encoding is fully vectorised (the per-symbol bit expansion happens inside
-NumPy).  Decoding works from the packed payload bytes: one big-endian word
-per byte yields the bit window at every offset, one probe of a combined
-``slot << 8 | length`` entry table decodes every short code, and the chain
-of visited offsets is extracted with ``np.intp`` gathers.
+Encoding is fully vectorised and O(n) in the symbol count: symbols are
+counted with a histogram, a ``cumsum`` of the code lengths gives every code
+its bit offset, and each code is shifted into the (at most two) big-endian
+64-bit words it touches; no code is ever expanded bit by bit.  Decoding
+works from the packed payload bytes: one big-endian word per byte yields
+the bit window at every offset, one probe of a combined ``slot << 8 |
+length`` entry table decodes every short code, and the chain of visited
+offsets is extracted with ``np.intp`` gathers.
 """
 
 from __future__ import annotations
@@ -78,19 +81,24 @@ def _code_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.array([1], dtype=np.uint8)
     # Standard heap-based Huffman; the alphabet is at most `capacity` symbols
     # (a few thousand in practice), so a Python heap is not a hot path.
-    heap: list[tuple[int, int, list[int]]] = [
-        (int(c), i, [i]) for i, c in enumerate(counts)
-    ]
+    # Heap keys are (count, node id): leaves are 0..n-1 and merged nodes
+    # take ids n, n+1, ... in merge order, so ties break by age.
+    heap = [(int(c), i) for i, c in enumerate(counts.tolist())]
     heapq.heapify(heap)
-    lengths = np.zeros(n, dtype=np.int64)
-    tie = n
+    parent = [0] * (2 * n - 1)
+    node = n
     while len(heap) > 1:
-        c1, _, leaves1 = heapq.heappop(heap)
-        c2, _, leaves2 = heapq.heappop(heap)
-        merged = leaves1 + leaves2
-        lengths[merged] += 1
-        heapq.heappush(heap, (c1 + c2, tie, merged))
-        tie += 1
+        c1, a = heapq.heappop(heap)
+        c2, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (c1 + c2, node))
+        node += 1
+    # A parent always has a larger id than its children, so one pass from
+    # the root (id 2n-2) downwards sees every parent's depth first.
+    depth = [0] * (2 * n - 1)
+    for i in range(2 * n - 3, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    lengths = np.array(depth[:n], dtype=np.int64)
     if np.any(lengths > 64):
         raise CompressionError("Huffman code length exceeds 64 bits")
     return lengths.astype(np.uint8)
@@ -149,6 +157,65 @@ def _resolve_long_codes(
             unresolved &= ~hit
 
 
+def _unique_counts(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(data, return_inverse=True, return_counts=True)`` in O(n).
+
+    Quantization residuals span a narrow range, so a histogram over
+    ``[min, max]`` replaces the sort.  The histogram costs O(max - min) time
+    and memory, so a range much wider than the stream (outlier codes far
+    from the rest) falls back to ``np.unique``.
+    """
+    lo, hi = int(data.min()), int(data.max())
+    if hi - lo > 4 * data.size + (1 << 16):
+        return np.unique(data, return_inverse=True, return_counts=True)
+    offset = data - lo
+    histogram = np.bincount(offset)
+    present = np.flatnonzero(histogram)
+    rank = np.zeros(histogram.size, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    return present + lo, rank[offset], histogram[present]
+
+
+#: Codes packed per pass of :func:`_pack_codes`; bounds its temporaries.
+_PACK_CHUNK = 1 << 18
+
+
+def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
+    """Concatenate variable-length codes MSB-first; returns ``(bytes, nbits)``.
+
+    ``codes[i]`` holds its ``lengths[i]`` (1..64) bits right-aligned.  The
+    code starting at bit ``p`` lands in big-endian word ``w = p >> 6`` at
+    offset ``o = p & 63``: its head is shifted to end at bit ``o + length``
+    of word ``w``, and when that passes 64 the low ``o + length - 64`` bits
+    spill into word ``w + 1``.  Codes never overlap, so adding the heads of
+    all codes that start in one word (``np.add.reduceat`` over the sorted
+    word index) is the same as OR-ing them, and at most one code spills into
+    any word.  Passes of :data:`_PACK_CHUNK` codes keep the temporaries
+    small; a word shared by two passes just receives two additions.
+    """
+    ends = np.cumsum(lengths, dtype=np.int64)
+    nbits = int(ends[-1]) if ends.size else 0
+    words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
+    for start in range(0, codes.size, _PACK_CHUNK):
+        stop = start + _PACK_CHUNK
+        vals = codes[start:stop]
+        lens = lengths[start:stop].astype(np.int64)
+        begin = ends[start:stop] - lens
+        word = begin >> 6
+        # Free bits after the code in its first word; negative = spill.
+        room = 64 - (begin & 63) - lens
+        head = np.where(
+            room >= 0,
+            vals << np.maximum(room, 0).astype(np.uint64),
+            vals >> np.maximum(-room, 0).astype(np.uint64),
+        )
+        first = np.flatnonzero(np.diff(word, prepend=-1))
+        words[word[first]] += np.add.reduceat(head, first)
+        spill = np.flatnonzero(room < 0)
+        words[word[spill] + 1] += vals[spill] << (64 + room[spill]).astype(np.uint64)
+    return words.astype(">u8").tobytes()[: (nbits + 7) >> 3], nbits
+
+
 class HuffmanCodec:
     """Encode / decode an integer symbol stream with canonical Huffman codes."""
 
@@ -166,9 +233,7 @@ class HuffmanCodec:
                 meta={"count": 0, "nbits": 0},
             )
 
-        symbols, inverse, counts = np.unique(
-            data, return_inverse=True, return_counts=True
-        )
+        symbols, inverse, counts = _unique_counts(data)
         lengths = _code_lengths(symbols, counts)
         # Canonical ordering: by (length, symbol value).
         order = np.lexsort((symbols, lengths))
@@ -180,25 +245,7 @@ class HuffmanCodec:
         slot_of_unique[order] = np.arange(symbols.size)
         slots = slot_of_unique[inverse]
 
-        code_vals = codes[slots]
-        code_lens = table.lengths[slots].astype(np.int64)
-
-        # Vectorised variable-length bit packing: expand every code to
-        # `max_length` right-aligned bits, then keep only the valid ones.
-        # Chunked so the intermediate (chunk x max_length) matrix stays small.
-        maxw = table.max_length
-        shifts = np.arange(maxw - 1, -1, -1, dtype=np.uint64)
-        col = np.arange(maxw)
-        chunk = 1 << 18
-        pieces: list[np.ndarray] = []
-        for start in range(0, n, chunk):
-            vals = code_vals[start : start + chunk]
-            lens = code_lens[start : start + chunk]
-            bits_matrix = (vals[:, None] >> shifts[None, :]) & np.uint64(1)
-            valid = col[None, :] >= (maxw - lens[:, None])
-            pieces.append(bits_matrix.astype(bool)[valid])
-        bits = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
-        payload = pack_bits(bits)
+        payload, nbits = _pack_codes(codes[slots], table.lengths[slots])
 
         return write_named_sections(
             {
@@ -206,7 +253,7 @@ class HuffmanCodec:
                 "table_lengths": table.lengths.astype(np.uint8).tobytes(),
                 "payload": payload,
             },
-            meta={"count": n, "nbits": int(bits.size)},
+            meta={"count": n, "nbits": nbits},
         )
 
     # -- decoding --------------------------------------------------------

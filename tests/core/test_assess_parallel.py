@@ -194,7 +194,7 @@ class TestPersistentCache:
         warm = AssessmentEngine(CFG, workers=2, cache=cache)
         warm.run(network, sparse, test.images, test.labels)
         assert warm.stats.checkpointed_layers == 0
-        assert warm._index_bytes == {}
+        assert warm._index_fits == {}
 
     def test_cached_results_shared_between_worker_counts(
         self, assessment_inputs, tmp_path

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.codecs import available_codecs, get_codec
 from repro.sz import SZCompressor, SZConfig, compress, decompress
 from repro.sz.huffman import HuffmanCodec
 from repro.sz.predictor import lorenzo_decode, lorenzo_encode
@@ -127,3 +128,39 @@ class TestZFPProperties:
         recon = comp.decompress(comp.compress(data).payload)
         if data.size:
             assert np.max(np.abs(recon.astype(np.float64) - data)) <= bound_tolerance(data, 1e-2)
+
+
+class TestRegisteredErrorBoundedCodecs:
+    """Every codec registered as error-bounded: ``compress_and_reconstruct``
+    is one ``compress`` plus its ``decompress``, and holds the bound."""
+
+    @pytest.mark.parametrize("name", available_codecs(error_bounded=True))
+    @SETTINGS
+    @given(
+        data=float_arrays,
+        eb=error_bounds,
+        predictor=st.sampled_from(["lorenzo", "adaptive"]),
+        chunk_size=st.sampled_from([None, 64]),
+        capacity=st.sampled_from([64, 65536]),
+    )
+    @example(  # wide values at a small capacity: most codes are outliers
+        data=np.linspace(-10, 10, 300, dtype=np.float32),
+        eb=1e-4,
+        predictor="adaptive",
+        chunk_size=64,
+        capacity=64,
+    )
+    def test_reconstruction_is_the_decode(
+        self, name, data, eb, predictor, chunk_size, capacity
+    ):
+        codec = get_codec(name)
+        options = dict(error_bound=eb, predictor=predictor, capacity=capacity)
+        if codec.info.chunked:
+            options["chunk_size"] = chunk_size
+        payload, recon = codec.compress_and_reconstruct(data, **options)
+        assert payload == codec.compress(data, **options)
+        decoded = codec.decompress(payload)
+        assert recon.dtype == decoded.dtype == np.float32
+        np.testing.assert_array_equal(recon.view(np.uint32), decoded.view(np.uint32))
+        if data.size:
+            assert np.max(np.abs(recon.astype(np.float64) - data)) <= bound_tolerance(data, eb)

@@ -18,6 +18,14 @@ from repro.utils.errors import ConfigurationError, DecompressionError
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
+#: golden_sz_v1_<name>.bin -> the (predictor, lossless) it was encoded with
+GOLDEN_CONFIGS = {
+    "adaptive": ("adaptive", "zlib"),
+    "lorenzo": ("lorenzo", "zlib"),
+    "none": ("none", "zlib"),
+    "best": ("adaptive", "best"),
+}
+
 
 def _bound_tolerance(data, eb):
     """Bound + half-ULP slack: the codecs guarantee the bound in double
@@ -148,10 +156,14 @@ class TestV1BackwardCompat:
         assert out.size == data.size
         assert np.abs(out - data).max() <= _bound_tolerance(data, 1e-3)
 
-    def test_golden_payload_bit_exact_vs_fresh_encode(self):
-        """The current v1 path still emits the seed era's exact bytes."""
-        blob = (GOLDEN_DIR / "golden_sz_v1_adaptive.bin").read_bytes()
-        cfg = SZConfig(error_bound=1e-3, predictor="adaptive", lossless="zlib")
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_golden_payload_bit_exact_vs_fresh_encode(self, name):
+        """The current v1 path still emits the seed era's exact bytes, for
+        every predictor and for the best-fit lossless stage: the end-to-end
+        guard of the Huffman code lengths and bit packer."""
+        blob = (GOLDEN_DIR / f"golden_sz_v1_{name}.bin").read_bytes()
+        predictor, lossless = GOLDEN_CONFIGS[name]
+        cfg = SZConfig(error_bound=1e-3, predictor=predictor, lossless=lossless)
         fresh = SZCompressor(cfg).compress(golden_input())
         assert fresh.payload == blob
         np.testing.assert_array_equal(

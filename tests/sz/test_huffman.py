@@ -1,9 +1,15 @@
 """Tests for the canonical Huffman codec."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sz import huffman
 from repro.sz.huffman import HuffmanCodec, HuffmanTable
+from repro.utils.bytesio import read_named_sections
 from repro.utils.errors import DecompressionError, ValidationError
 
 
@@ -303,3 +309,141 @@ class TestCorruptionDifferential:
         )
         with pytest.raises(DecompressionError):
             HuffmanCodec._decode_bits(np.zeros(16, dtype=bool), table, 4)
+
+
+def _pack_bits_reference(codes, lengths):
+    """Scalar reference packer (the encode-side sibling of
+    ``HuffmanCodec._decode_bits_reference``): append every code's bits
+    MSB-first, one code at a time.  Returns ``(payload, nbits)``."""
+    text = "".join(
+        format(int(code), f"0{int(length)}b") for code, length in zip(codes, lengths)
+    )
+    bits = np.frombuffer(text.encode(), dtype=np.uint8) == ord("1")
+    return np.packbits(bits).tobytes(), len(text)
+
+
+def _code_lengths_reference(counts):
+    """The list-merging Huffman construction ``_code_lengths`` replaced:
+    every merge bumps the length of each leaf below it."""
+    import heapq
+
+    n = len(counts)
+    if n == 1:
+        return np.array([1], dtype=np.uint8)
+    heap = [(int(c), i, [i]) for i, c in enumerate(counts)]
+    heapq.heapify(heap)
+    lengths = np.zeros(n, dtype=np.int64)
+    tie = n
+    while len(heap) > 1:
+        c1, _, leaves1 = heapq.heappop(heap)
+        c2, _, leaves2 = heapq.heappop(heap)
+        merged = leaves1 + leaves2
+        lengths[merged] += 1
+        heapq.heappush(heap, (c1 + c2, tie, merged))
+        tie += 1
+    return lengths.astype(np.uint8)
+
+
+def _random_codes(rng, n, max_length=64):
+    """``n`` right-aligned codes of random lengths in 1..max_length."""
+    lengths = rng.integers(1, max_length + 1, size=n).astype(np.uint8)
+    codes = rng.integers(0, 1 << 63, size=n, dtype=np.uint64, endpoint=True)
+    codes >>= (64 - lengths.astype(np.int64)).astype(np.uint64)
+    return codes, lengths
+
+
+def _encoded_and_reference(data):
+    """``(payload, nbits)`` of ``HuffmanCodec.encode(data)``, and of the
+    scalar reference packer over the same canonical table."""
+    meta, sections = read_named_sections(HuffmanCodec().encode(data))
+    symbols = np.frombuffer(sections["table_symbols"], dtype="<i8")
+    table = HuffmanTable(
+        symbols=symbols, lengths=np.frombuffer(sections["table_lengths"], dtype=np.uint8)
+    )
+    order = np.argsort(symbols)
+    slots = order[np.searchsorted(symbols[order], data)]
+    reference = _pack_bits_reference(table.codes()[slots], table.lengths[slots])
+    return (sections["payload"], int(meta["nbits"])), reference
+
+
+class TestEncoderOracle:
+    """The word packer and the parent-pointer code lengths against scalar
+    references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        max_length=st.sampled_from([1, 7, 32, 33, 63, 64]),
+        chunk=st.sampled_from([1, 5, 64, 1 << 18]),
+    )
+    def test_pack_codes_matches_reference(self, seed, n, max_length, chunk):
+        # Codes past 32 bits and passes of a few codes each put code ends,
+        # word spills and pass boundaries everywhere.
+        codes, lengths = _random_codes(np.random.default_rng(seed), n, max_length)
+        with mock.patch.object(huffman, "_PACK_CHUNK", chunk):
+            got = huffman._pack_codes(codes, lengths)
+        assert got == _pack_bits_reference(codes, lengths)
+
+    def test_pack_codes_across_the_chunk_boundary(self):
+        rng = np.random.default_rng(17)
+        codes, lengths = _random_codes(rng, huffman._PACK_CHUNK + 1001)
+        assert huffman._pack_codes(codes, lengths) == _pack_bits_reference(codes, lengths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alphabet=st.integers(1, 300),
+        n=st.integers(1, 3000),
+        skew=st.floats(0.0, 3.0),
+    )
+    def test_encode_matches_reference_packer(self, seed, alphabet, n, skew):
+        rng = np.random.default_rng(seed)
+        values = rng.choice(1 << 40, size=alphabet, replace=False) - (1 << 39)
+        weights = np.arange(1, alphabet + 1, dtype=np.float64) ** -skew
+        data = rng.choice(values, size=n, p=weights / weights.sum()).astype(np.int64)
+        got, want = _encoded_and_reference(data)
+        assert got == want
+
+    def test_encode_across_the_chunk_boundary(self, rng):
+        data = np.rint(rng.standard_normal(huffman._PACK_CHUNK + 5000) * 40)
+        got, want = _encoded_and_reference(data.astype(np.int64))
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 2000),
+        spread=st.sampled_from([1, 40, 1 << 20, 1 << 62]),
+    )
+    def test_unique_counts_matches_numpy(self, seed, n, spread):
+        # Narrow spreads take the histogram, wide ones the sort.
+        data = np.random.default_rng(seed).integers(-spread, spread, size=n)
+        got = huffman._unique_counts(data)
+        want = np.unique(data, return_inverse=True, return_counts=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 50), min_size=1, max_size=400),
+    )
+    def test_code_lengths_match_list_merging(self, counts):
+        # Counts drawn from a small range tie often, so the heap's tie-break
+        # order decides the lengths.
+        counts = np.array(counts, dtype=np.int64)
+        symbols = np.arange(counts.size, dtype=np.int64)
+        np.testing.assert_array_equal(
+            huffman._code_lengths(symbols, counts), _code_lengths_reference(counts)
+        )
+
+    def test_code_lengths_fibonacci_depth(self):
+        # Fibonacci counts build the deepest tree: lengths 1 .. n-1.
+        fib = [1, 1]
+        while len(fib) < 40:
+            fib.append(fib[-1] + fib[-2])
+        counts = np.array(fib, dtype=np.int64)
+        lengths = huffman._code_lengths(np.arange(40), counts)
+        np.testing.assert_array_equal(lengths, _code_lengths_reference(counts))
+        assert int(lengths.max()) == 39
