@@ -26,8 +26,7 @@
   :class:`~repro.utils.errors.GatewayOverloaded` rejection — serves both
   front doors;
 * :mod:`repro.serve.async_gateway` — :class:`AsyncGateway`, the asyncio
-  adapter over the same core and backend: one event loop multiplexes the
-  worker response pipes, with per-request deadlines
+  adapter over the same core and backend, with per-request deadlines
   (:class:`~repro.utils.errors.DeadlineExceeded`), real cancellation, and
   graceful drain;
 * :mod:`repro.serve.http` — the minimal stdlib HTTP surface

@@ -11,15 +11,10 @@ module only adapts that stack to the loop:
 
 * **loop binding** — the gateway binds to the loop :meth:`start` runs on;
   a submit from any other loop is turned away at admission.
-* **pipe multiplexing** — each process replica's response pipe registers
-  with ``loop.add_reader`` (the replica's
-  :meth:`~repro.serve.worker.ProcessServer.set_response_watcher` watcher
-  mode, so no receiver thread exists either); the loop drains responses
-  via :meth:`~repro.serve.worker.ProcessServer.process_responses` the
-  moment a pipe turns readable.  Where pipe fds are not selectable
-  (non-Unix event loops), replicas keep their receiver threads.  Results
-  reach the awaiting caller inline when they land on the loop thread and
-  through ``call_soon_threadsafe`` otherwise.
+* **result bridging** — replicas settle requests off the loop (a process
+  replica on its receiver thread, a thread replica on its batching
+  thread); each settled result reaches the awaiting caller through
+  ``call_soon_threadsafe``.
 * **deadlines** — ``await submit(model, x, deadline=0.2)`` raises
   :class:`~repro.utils.errors.DeadlineExceeded` when the budget runs out,
   and **cancelling** the awaiting coroutine raises ``CancelledError``.
@@ -41,26 +36,16 @@ module only adapts that stack to the loop:
 from __future__ import annotations
 
 import asyncio
-import os
-import threading
 import time
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.log import get_logger
 from repro.serve.gateway import Gateway, _Model, _Request
-from repro.serve.worker import ProcessServer
 from repro.utils.errors import DeadlineExceeded, ValidationError
 
 __all__ = ["AsyncGateway"]
-
-_log = get_logger("serve.async_gateway")
-
-#: How long the stop path waits for the event loop to detach a pipe
-#: reader before giving up (a dead/closing loop cannot acknowledge).
-_UNWATCH_TIMEOUT_S = 30.0
 
 
 def _copy_outcome(waiter: asyncio.Future, source: Future) -> None:
@@ -95,32 +80,15 @@ class AsyncGateway(Gateway):
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[int] = None
-        self._watched: Dict[ProcessServer, object] = {}
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "AsyncGateway":
-        loop = asyncio.get_running_loop()
         entries = self._begin_start()
         if not entries:
             return self  # already running
-        self._loop = loop
-        self._loop_thread = threading.get_ident()
-        multiplex = self._add_reader_supported(loop)
-        if not multiplex:
-            _log.info(
-                "event loop has no add_reader; process replicas keep their "
-                "receiver threads and bridge results onto the loop"
-            )
-        for entry in entries:
-            for replica in entry.replicas:
-                if isinstance(replica.server, ProcessServer):
-                    replica.server.set_response_watcher(
-                        self._pipe_watcher if multiplex else None
-                    )
+        self._loop = asyncio.get_running_loop()
         # The slow half (shared-segment decode + worker spawns) runs off
-        # the loop; watcher notifications land back on it via
-        # call_soon_threadsafe while we await.
+        # the loop.
         await asyncio.to_thread(self._start_replica_servers, entries)
         self._mark_running(entries)
         return self
@@ -247,7 +215,9 @@ class AsyncGateway(Gateway):
         nothing left is abandoned without awaiting.
         """
         waiter = self._loop.create_future()
-        request.future.add_done_callback(lambda f: self._deliver(waiter, f))
+        request.future.add_done_callback(
+            lambda f: self._loop.call_soon_threadsafe(_copy_outcome, waiter, f)
+        )
         try:
             if deadline is None:
                 return await waiter
@@ -268,100 +238,3 @@ class AsyncGateway(Gateway):
         except asyncio.CancelledError:
             entry.abandon(request, "cancelled")
             raise
-
-    def _deliver(self, waiter: asyncio.Future, source: Future) -> None:
-        """Done-callback of a request's future: onto the loop.
-
-        In multiplex mode replica answers resolve *on the loop thread
-        itself* (inside ``process_responses``), so the result is copied
-        inline — no ``call_soon_threadsafe`` self-pipe wakeup per
-        response.  Receiver and batching threads bridge the usual way.
-        """
-        if threading.get_ident() == self._loop_thread:
-            _copy_outcome(waiter, source)
-        else:
-            self._loop.call_soon_threadsafe(_copy_outcome, waiter, source)
-
-    # -- pipe multiplexing -------------------------------------------------
-    @staticmethod
-    def _add_reader_supported(loop: asyncio.AbstractEventLoop) -> bool:
-        """Probe whether this loop can watch raw pipe fds (selector loops
-        can; proactor-style loops raise NotImplementedError)."""
-        read_fd, write_fd = os.pipe()
-        try:
-            try:
-                loop.add_reader(read_fd, lambda: None)
-            except (NotImplementedError, PermissionError):
-                return False
-            loop.remove_reader(read_fd)
-            return True
-        finally:
-            os.close(read_fd)
-            os.close(write_fd)
-
-    def _pipe_watcher(self, server: ProcessServer, conn) -> None:
-        """The :meth:`ProcessServer.set_response_watcher` callback.
-
-        Watch calls (``conn`` set) arrive from server start/respawn threads
-        with the server's state lock held, so they only schedule onto the
-        loop.  The unwatch call (``conn is None``) arrives from the stop
-        path without the lock and blocks until the loop has dropped the
-        reader — the stopping thread becomes the pipe's sole reader next.
-        """
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            self._watched.pop(server, None)
-            return
-        if conn is not None:
-            loop.call_soon_threadsafe(self._watch, server, conn)
-            return
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:  # pragma: no cover - stop() always runs off-loop
-            self._unwatch(server)
-            return
-        detached = threading.Event()
-        try:
-            loop.call_soon_threadsafe(self._unwatch, server, detached.set)
-        except RuntimeError:  # loop shut down between the check and the call
-            self._watched.pop(server, None)
-            return
-        if not detached.wait(timeout=_UNWATCH_TIMEOUT_S):  # pragma: no cover
-            _log.warning("event loop did not detach a pipe reader in time")
-
-    def _watch(self, server: ProcessServer, conn) -> None:
-        """Loop thread: register a replica response pipe with the loop."""
-        stale = self._watched.pop(server, None)
-        if stale is not None and stale is not conn:
-            try:
-                self._loop.remove_reader(stale.fileno())
-            except (ValueError, OSError):
-                pass
-        try:
-            fd = conn.fileno()
-        except (ValueError, OSError):  # already closed (server stopped)
-            return
-        self._watched[server] = conn
-        self._loop.add_reader(fd, self._on_pipe_readable, server, conn)
-
-    def _unwatch(self, server: ProcessServer, done=None) -> None:
-        """Loop thread: drop a replica's pipe reader (ack via ``done``)."""
-        conn = self._watched.pop(server, None)
-        if conn is not None:
-            try:
-                self._loop.remove_reader(conn.fileno())
-            except (ValueError, OSError):
-                pass
-        if done is not None:
-            done()
-
-    def _on_pipe_readable(self, server: ProcessServer, conn) -> None:
-        """Loop thread: a watched response pipe has data (or broke)."""
-        if not server.process_responses():
-            # Done with this pipe: the worker said bye, or it crashed (the
-            # server respawns off-loop and re-notifies the watcher with the
-            # replacement pipe).
-            if self._watched.get(server) is conn:
-                self._unwatch(server)

@@ -19,8 +19,10 @@ interpreter's GIL.  A *process* replica moves the hot loop out:
   ``max_batch_delay`` since the reader received it; then one forward pass
   answers the whole batch with a single response message.  Because the
   pipe is always drained, a parent-side send never waits on the worker's
-  response writes, so one parent thread may both send requests and read
-  responses.
+  response writes.  That matters because the parent's receiver thread
+  sends too: settling a response batch runs each future's done-callback,
+  and the gateway's callback dispatches the next parked request from that
+  same thread.
 * :class:`ProcessServer` is the parent-side handle with the same surface a
   :class:`~repro.serve.gateway.Replica` expects from a ``Server``
   (``start/stop/submit/infer/inflight/stats``), so the gateway's dispatch,
@@ -208,7 +210,10 @@ def _worker_main(spec: WorkerSpec, request_conn, response_conn, sent) -> None:
 
     # A reader thread drains the request pipe into ``inbox`` as requests
     # arrive, so a parent send never waits on this process's response
-    # writes — the parent thread sending may be the only one reading them.
+    # writes.  The parent's receiver thread, the only reader of those
+    # responses, sends as well: settling a batch runs the gateway's
+    # done-callbacks, which dispatch parked requests.  Without this pump a
+    # full request pipe plus a full response pipe would wedge both sides.
     inbox: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
     threading.Thread(
         target=_pump_requests, args=(request_conn, inbox), daemon=True
@@ -340,12 +345,6 @@ class ProcessServer:
         self._dead = False
         self._link: Optional[_Link] = None
         self._receiver: Optional[threading.Thread] = None
-        # External-receiver (watcher) mode: instead of a receiver thread,
-        # an event loop watches the response pipe and calls
-        # process_responses() when it turns readable.  _watched_link is the
-        # link whose pipe the external reader currently owns.
-        self._watcher: Optional[Callable[["ProcessServer", object], None]] = None
-        self._watched_link: Optional[_Link] = None
         self._next_id = 0
         self._crashes = 0
         self._latency_hist = Histogram()
@@ -366,31 +365,6 @@ class ProcessServer:
     def set_shared(self, shared) -> None:
         """Point the next start() at a model's shared weight segment."""
         self._shared = shared
-
-    def set_response_watcher(
-        self, watcher: Optional[Callable[["ProcessServer", object], None]]
-    ) -> None:
-        """Route responses through an external reader instead of a thread.
-
-        ``watcher(server, conn)`` is called — with the server's state lock
-        held, so it must not block — whenever ``conn`` becomes the response
-        pipe to watch: once at :meth:`start` and again after every crash
-        respawn.  The watcher registers the pipe with its event loop and
-        calls :meth:`process_responses` when the pipe turns readable.
-
-        ``watcher(server, None)`` is the unwatch call on the stop path; it
-        runs *without* the state lock and may block until the external
-        reader is provably detached, because :meth:`stop` becomes the sole
-        reader of the pipe immediately afterwards.
-
-        Must be configured on a stopped server, before :meth:`start`.
-        """
-        with self._lock:
-            if self._running or self._starting:
-                raise ValidationError(
-                    "set_response_watcher() requires a stopped server"
-                )
-            self._watcher = watcher
 
     @property
     def shared_bytes(self) -> int:
@@ -443,20 +417,13 @@ class ProcessServer:
                 self._inflight.value = 0
             self._started_at = time.perf_counter()
             self._stopped_at = None
-            if self._watcher is None:
-                self._receiver = threading.Thread(
-                    target=self._recv_loop,
-                    args=(link,),
-                    name=f"repro-replica-{self._replica_id}",
-                    daemon=True,
-                )
-                self._receiver.start()
-            else:
-                # Watcher mode: hand the response pipe to the external
-                # reader under the same lock hold that publishes the link,
-                # so a racing stop() cannot unwatch before the watch lands.
-                self._watched_link = link
-                self._watcher(self, link.response_conn)
+            self._receiver = threading.Thread(
+                target=self._recv_loop,
+                args=(link,),
+                name=f"repro-replica-{self._replica_id}",
+                daemon=True,
+            )
+            self._receiver.start()
             self._starting = False
             self._cond.notify_all()
         return self
@@ -489,15 +456,6 @@ class ProcessServer:
                 )
         if receiver is not None:
             receiver.join()
-        elif link is not None and self._watcher is not None:
-            # Watcher mode: reclaim sole ownership of the response pipe —
-            # the unwatch call blocks until the event loop has dropped its
-            # reader — then drain the worker's remaining responses (it
-            # answers everything queued ahead of the sentinel, then says
-            # bye) on this thread.
-            self._watched_link = None
-            self._watcher(self, None)
-            self._drain_responses(link)
         if link is not None:
             link.process.join(timeout=30.0)
             if link.process.is_alive():  # pragma: no cover - hung worker
@@ -667,18 +625,8 @@ class ProcessServer:
             except Exception:
                 _log.debug("worker pipe close failed", exc_info=True)
 
-    def _dispatch(self, link: _Link, message) -> bool:
-        """Resolve one response message; False when it was the goodbye."""
-        kind = message[0]
-        if kind == "ok":
-            self._resolve(link, message[1], results=message[2], spans=message[3])
-        elif kind == "err":
-            self._resolve(link, message[1], error=message[2])
-        elif kind == "bye":
-            return False
-        return True
-
     def _recv_loop(self, link: _Link) -> None:
+        """Receiver thread: settle responses until the worker says bye."""
         while True:
             try:
                 message = link.response_conn.recv()
@@ -688,72 +636,12 @@ class ProcessServer:
                     return
                 link = replacement
                 continue
-            if not self._dispatch(link, message):
-                return
-
-    def process_responses(self) -> bool:
-        """Drain buffered responses — the watcher-mode readable callback.
-
-        Called by the external reader (the async gateway's event loop) when
-        the watched response pipe turns readable.  Returns ``True`` to keep
-        watching the pipe, ``False`` when it is done: either the worker
-        said goodbye, or the pipe broke — a crash is then handled on a
-        short-lived thread (the respawn blocks on a worker boot, which must
-        never stall the event loop) and the watcher is re-notified with the
-        replacement pipe when one comes up.
-        """
-        link = self._watched_link
-        if link is None:
-            return False
-        try:
-            while link.response_conn.poll(0):
-                message = link.response_conn.recv()
-                if not self._dispatch(link, message):
-                    self._watched_link = None
-                    return False
-        except (EOFError, OSError):
-            self._watched_link = None
-            threading.Thread(
-                target=self._crash_and_rewatch,
-                args=(link,),
-                name=f"repro-respawn-{self._replica_id}",
-                daemon=True,
-            ).start()
-            return False
-        return True
-
-    def _crash_and_rewatch(self, link: _Link) -> None:
-        """Watcher-mode crash path: respawn, then re-hand the new pipe over.
-
-        The re-watch happens under the state lock and only while the server
-        is still running with this replacement current — either it lands
-        before a concurrent stop() flips state (stop then unwatches it), or
-        stop() wins the lock first and the re-watch is skipped, so the stop
-        path's drain is always the pipe's sole reader.
-        """
-        replacement = self._handle_crash(link)
-        if replacement is None:
-            return
-        with self._lock:
-            if not self._running or self._link is not replacement:
-                return
-            self._watched_link = replacement
-            if self._watcher is not None:
-                self._watcher(self, replacement.response_conn)
-
-    def _drain_responses(self, link: _Link) -> None:
-        """Stop-path drain in watcher mode: this thread reads alone now."""
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            try:
-                if not link.response_conn.poll(0.1):
-                    if not link.process.is_alive():
-                        return
-                    continue
-                message = link.response_conn.recv()
-            except (EOFError, OSError):
-                return
-            if not self._dispatch(link, message):
+            kind = message[0]
+            if kind == "ok":
+                self._resolve(link, message[1], results=message[2], spans=message[3])
+            elif kind == "err":
+                self._resolve(link, message[1], error=message[2])
+            elif kind == "bye":
                 return
 
     def _handle_crash(self, link: _Link) -> Optional[_Link]:

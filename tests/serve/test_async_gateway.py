@@ -71,6 +71,10 @@ def _blocking_gateway(archive_blob, *, max_queue_depth, tracer=None):
     return gateway, networks
 
 
+def _live_thread_names():
+    return [thread.name for thread in threading.enumerate() if thread.is_alive()]
+
+
 class TestAsyncServing:
     def test_submit_gather_and_submit_many_process_backend(self, archive_blob):
         async def main():
@@ -84,13 +88,16 @@ class TestAsyncServing:
                 assert len(ys) == 16
                 many = await gateway.submit_many("m", [x] * 4)
                 assert [row.shape for row in many] == [(_OUTPUT_DIM,)] * 4
-                if AsyncGateway._add_reader_supported(asyncio.get_running_loop()):
-                    # Multiplex mode: worker pipes are loop readers, and the
-                    # replica runs no receiver thread.
-                    assert gateway._watched
+                # The replica reads worker responses on its receiver thread.
+                assert "repro-replica-m/0" in _live_thread_names()
                 stats = gateway.stats().models["m"]
                 assert stats.completed == 21
                 assert stats.failures == 0
+            # Leaving the block awaited stop(), which joins that thread.
+            assert not [
+                name for name in _live_thread_names()
+                if name.startswith("repro-replica-")
+            ]
             await gateway.close()
 
         asyncio.run(main())

@@ -367,10 +367,12 @@ class TestPipeBackpressure:
     @pytest.mark.parametrize("front_door", ["sync", "async"])
     def test_full_response_pipe_does_not_wedge_dispatch(self, tmp_path, front_door):
         """Regression: a thread that sends requests while it is the only
-        reader of the replica's responses (the async loop thread) used to
-        block in the request-pipe send while the worker blocked writing
-        responses.  A subprocess with a hard timeout turns a wedge into a
-        failure instead of a hung suite."""
+        reader of the replica's responses used to block in the request-pipe
+        send while the worker blocked writing responses.  The replica's
+        receiver thread is such a thread under both front doors: settling a
+        response batch runs each future's done-callback, which dispatches
+        the next parked request onto the request pipe.  A subprocess with a
+        hard timeout turns a wedge into a failure instead of a hung suite."""
         before = _repro_segments()
         script = tmp_path / "pipe_full.py"
         script.write_text(_PIPE_FULL_SCRIPT)
