@@ -682,7 +682,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         labels,
         config=config,
         workers=args.workers or None,
-        reuse_activations=not args.no_reuse,
         cache=cache,
     )
     elapsed = time.perf_counter() - started
@@ -999,8 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="safety cap on each layer's fine scan")
     p.add_argument("--cache", default=None,
                    help="persist candidate results under this directory")
-    p.add_argument("--no-reuse", action="store_true",
-                   help="disable activation-reuse checkpointing")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_assess)
 

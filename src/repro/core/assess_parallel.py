@@ -22,14 +22,16 @@ fc-layers this skips the overwhelming majority of the forward FLOPs.
 
 **Speculation + persistence.**  Algorithm 1's scans are sequential by
 definition (each step decides whether to continue), so the engine keeps the
-pool busy by speculating: the coarse scan evaluates every layer's full
-decade schedule at once, and the fine scans run per-layer lookahead windows
-concurrently across layers.  Results beyond a layer's stopping point are
-*trimmed from the result* — the recorded points, test counts, and downstream
-optimizer plans are bit-identical to the serial Algorithm 1 for every worker
-count — but they are still persisted to the optional
-:class:`~repro.store.AssessmentCache`, keyed by content SHAs, so repeated
-runs (and even over-speculated candidates) make future assessments
+pool busy by speculating.  It drives one :class:`LayerScan` per layer in
+waves: each wave asks every unfinished scan for ``ceil(workers / active)``
+bounds ahead of its cursor, evaluates the whole wave with one ``pool.map``
+and tells the results back.  A scan records a result only when its cursor
+reaches it, so results beyond a layer's stopping point are *trimmed from
+the result* — the recorded points, test counts, and downstream optimizer
+plans are bit-identical to the serial Algorithm 1 for every worker count,
+and one worker speculates on nothing — but they are still persisted to the
+optional :class:`~repro.store.AssessmentCache`, keyed by content SHAs, so
+repeated runs (and even over-speculated candidates) make future assessments
 incremental.  The expensive shared setup (per-layer index lossless fits,
 the checkpoint forward pass) is computed lazily on the first cache *miss*,
 so a fully cached run touches neither.  The index fits it did compute ride
@@ -39,23 +41,20 @@ out on :attr:`AssessmentResult.index_fits` for Step 4 to reuse.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.assessment import (
     AssessmentConfig,
-    AssessmentPoint,
     AssessmentResult,
     LayerAssessment,
-    accuracy_with_substitution,
-    assess_layer,
+    LayerScan,
     bound_key,
-    checkpoint_activations,
     index_fit,
     reconstruct_candidate,
-    _fine_bounds,
+    _candidate_accuracy,
 )
 from repro.nn.layers import Dense
 from repro.nn.network import Network
@@ -75,7 +74,7 @@ class EngineStats:
 
     evaluations: int = 0  #: candidate evaluations actually computed
     cache_hits: int = 0  #: candidates served from the persistent cache
-    speculative_wasted: int = 0  #: computed results trimmed from the output
+    speculative_wasted: int = 0  #: told results trimmed from the output
     checkpointed_layers: int = 0  #: layers whose activations were reused
 
     def as_dict(self) -> Dict[str, int]:
@@ -92,23 +91,6 @@ class _LayerContext:
     cache_key_base: Optional[Dict[str, object]]
 
 
-@dataclass
-class _FineScan:
-    """Mutable fine-scan cursor of one layer.
-
-    ``evaluated`` maps a canonical bound key to ``(exact_bound, result)``:
-    the *bitwise* bound the result was computed at is kept alongside so a
-    result is only ever reused for the exact same float (see
-    :meth:`AssessmentEngine._sweep_speculative`).
-    """
-
-    schedule: List[float]
-    position: int = 0
-    evaluated: Dict[str, Tuple[float, Tuple[float, int, bool]]] = field(
-        default_factory=dict
-    )
-
-
 class AssessmentEngine:
     """Run Algorithm 1 for a whole network with parallel pure candidates.
 
@@ -117,22 +99,20 @@ class AssessmentEngine:
     config:
         The assessment parameters (bounds, criteria, codec settings).
     workers:
-        Thread count for the candidate fan-out.  ``1`` (the default) runs
-        the exact serial Algorithm 1 order with no speculation; ``None``
-        resolves through ``REPRO_WORKERS`` / ``os.cpu_count()``.  Threads
-        (not processes) are the right pool mode here: the hot work is
-        BLAS matmuls and lossless codecs, both of which release the GIL,
-        and threads share the checkpointed activations for free.
-    reuse_activations:
-        Checkpoint each assessed layer's input activations once and resume
-        candidates from there.  Disable to recompute the upstream forward
-        pass per candidate (same results, more FLOPs).
+        Thread count for the candidate fan-out.  ``1`` (the default)
+        evaluates exactly the serial Algorithm 1 candidates with no
+        speculation; ``None`` resolves through ``REPRO_WORKERS`` /
+        ``os.cpu_count()``.  Threads (not processes) are the right pool
+        mode here: the hot work is BLAS matmuls and lossless codecs, both
+        of which release the GIL, and threads share the checkpointed
+        activations for free.
     cache:
         Optional :class:`~repro.store.AssessmentCache`; hits skip the
         evaluation entirely and misses are back-filled.
     checkpoint_budget_bytes:
         Cap on the total size of retained activation checkpoints; layers
-        that would exceed it fall back to recomputation.
+        that would exceed it fall back to recomputing the upstream forward
+        pass per candidate (same results, more FLOPs).
     """
 
     def __init__(
@@ -140,14 +120,12 @@ class AssessmentEngine:
         config: AssessmentConfig | None = None,
         *,
         workers: int | None = 1,
-        reuse_activations: bool = True,
         cache=None,
         checkpoint_budget_bytes: int = DEFAULT_CHECKPOINT_BUDGET,
     ) -> None:
         self.config = config or AssessmentConfig()
         self.pool = TaskPool(workers, mode="thread")
         self.workers = self.pool.workers
-        self.reuse_activations = bool(reuse_activations)
         self.cache = cache
         self.checkpoint_budget_bytes = int(checkpoint_budget_bytes)
         self.stats = EngineStats()
@@ -188,8 +166,6 @@ class AssessmentEngine:
         across the build so concurrent first-misses wait instead of each
         paying for the full pass.
         """
-        if not self.reuse_activations:
-            return None
         with self._checkpoint_lock:
             if self._checkpoints is None:
                 self._checkpoints = self._collect_checkpoints(network)
@@ -248,31 +224,17 @@ class AssessmentEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached[0], cached[1], True
-        config = self.config
-        dense, payload_bytes = reconstruct_candidate(ctx.sparse, eb, config)
+        dense, payload_bytes = reconstruct_candidate(ctx.sparse, eb, self.config)
         size = payload_bytes + self._layer_index_bytes(ctx)
-        if ctx.is_dense:
-            activations = self._layer_checkpoint(network, ctx)
-            if activations is None:
-                activations = checkpoint_activations(
-                    network, ctx.name, self._test_images, batch_size=config.eval_batch_size
-                )
-            accuracy = accuracy_with_substitution(
-                network,
-                ctx.name,
-                dense,
-                activations,
-                self._test_labels,
-                batch_size=config.eval_batch_size,
-            )
-        else:
-            # Clone-on-write fallback for non-Dense layers: still pure with
-            # respect to the shared network, just without reuse.
-            clone = network.clone()
-            clone.set_weights(ctx.name, dense)
-            accuracy = clone.accuracy(
-                self._test_images, self._test_labels, batch_size=config.eval_batch_size
-            )
+        accuracy = _candidate_accuracy(
+            network,
+            ctx.name,
+            dense,
+            self._test_images,
+            self._test_labels,
+            self.config,
+            self._layer_checkpoint(network, ctx) if ctx.is_dense else None,
+        )
         if key is not None and self.cache is not None:
             self.cache.put(key, accuracy, size)
         return accuracy, size, False
@@ -343,208 +305,58 @@ class AssessmentEngine:
             self._contexts = self._build_contexts(
                 network, sparse_layers, test_images, test_labels
             )
-            if not sparse_layers:
-                recorded: Dict[str, Dict[str, AssessmentPoint]] = {}
-            elif self.workers == 1:
-                recorded = self._sweep_serial(network, baseline)
-            else:
-                recorded = self._sweep_speculative(network, baseline)
+            scans = self._sweep(network, baseline)
         finally:
             self._test_images = None
             self._test_labels = None
             self._checkpoints = None
             self._contexts = {}
 
-        layers: Dict[str, LayerAssessment] = {}
-        total_tests = 0
-        for name in sparse_layers:
-            assessment = LayerAssessment(layer=name, baseline_accuracy=baseline)
-            assessment._expected_loss = (  # type: ignore[attr-defined]
-                config.expected_accuracy_loss
+        layers = {
+            name: LayerAssessment(
+                name, baseline, scan.points, config.expected_accuracy_loss
             )
-            assessment.points = sorted(
-                recorded[name].values(), key=lambda p: p.error_bound
-            )
-            layers[name] = assessment
-            total_tests += len(assessment.points)
+            for name, scan in scans.items()
+        }
+        self.stats.speculative_wasted = sum(
+            scan.told - len(scan.points) for scan in scans.values()
+        )
         return AssessmentResult(
             network=network.name,
             baseline_accuracy=baseline,
             layers=layers,
-            tests_performed=total_tests,
+            tests_performed=sum(len(a.points) for a in layers.values()),
             evaluations=self.stats.evaluations,
             cache_hits=self.stats.cache_hits,
             index_fits=dict(self._index_fits),
         )
 
-    def _point(
-        self, name: str, eb: float, accuracy: float, size: int, baseline: float
-    ) -> AssessmentPoint:
-        return AssessmentPoint(
-            layer=name,
-            error_bound=eb,
-            accuracy=accuracy,
-            degradation=baseline - accuracy,
-            compressed_bytes=size,
-        )
+    def _sweep(self, network: Network, baseline: float) -> Dict[str, LayerScan]:
+        """Every layer's :class:`LayerScan`, driven in waves to completion.
 
-    def _note(self, hit: bool) -> None:
-        if hit:
-            self.stats.cache_hits += 1
-        else:
-            self.stats.evaluations += 1
-
-    def _sweep_serial(
-        self, network: Network, baseline: float
-    ) -> Dict[str, Dict[str, AssessmentPoint]]:
-        """Exact Algorithm 1: delegate to :func:`assess_layer` per layer.
-
-        The control flow (coarse break, fine schedule, canonical-key dedup,
-        stop on expected loss) lives in one place — only the evaluator is
-        swapped for the engine's pure, cached, checkpoint-resuming one.
+        Each wave asks every unfinished scan for its share of the pool,
+        ``ceil(workers / active)`` bounds, evaluates them all with one
+        ``pool.map`` and tells the results.  With one worker that is one
+        bound per layer per wave: the serial candidates, no speculation.
         """
-        recorded: Dict[str, Dict[str, AssessmentPoint]] = {}
-        for name, ctx in self._contexts.items():
-
-            def evaluator(net, layer_name, sparse_layer, eb, images, labels,
-                          *, config=None, _ctx=ctx):
-                accuracy, size, hit = self._evaluate(net, _ctx, eb)
-                self._note(hit)
-                return accuracy, size
-
-            assessment, _ = assess_layer(
-                network,
-                name,
-                ctx.sparse,
-                self._test_images,
-                self._test_labels,
-                baseline_accuracy=baseline,
-                config=self.config,
-                evaluator=evaluator,
-            )
-            recorded[name] = {
-                bound_key(p.error_bound): p for p in assessment.points
-            }
-        return recorded
-
-    def _sweep_speculative(
-        self, network: Network, baseline: float
-    ) -> Dict[str, Dict[str, AssessmentPoint]]:
-        """Speculative sweep; records exactly the serial point set.
-
-        The coarse scan fans every layer's whole decade schedule out at
-        once; the results past each layer's distortion point are trimmed
-        from the record but seeded into the fine scan's result map, so a
-        fine schedule that climbs back to a trimmed coarse bound reuses the
-        computation instead of repeating it.  The fine scans then run
-        concurrently across layers, each submitting a lookahead window of
-        its next bounds per wave.
-        """
-        config = self.config
-        contexts = self._contexts
-        names = list(contexts)
-
-        # -- coarse: all layers x all decades, one wave --------------------
-        coarse_tasks = [(name, beta) for name in names for beta in config.coarse_bounds]
-        coarse_results = self.pool.map(
-            lambda task: self._evaluate(network, contexts[task[0]], task[1]),
-            coarse_tasks,
-        )
-        by_layer: Dict[str, List[Tuple[float, Tuple[float, int, bool]]]] = {
-            name: [] for name in names
+        scans = {
+            name: LayerScan(name, baseline, self.config) for name in self._contexts
         }
-        for (name, beta), result in zip(coarse_tasks, coarse_results):
-            self._note(result[2])
-            by_layer[name].append((beta, result))
-
-        recorded: Dict[str, Dict[str, AssessmentPoint]] = {name: {} for name in names}
-        scans: Dict[str, _FineScan] = {}
-        for name in names:
-            fine_start: float | None = None
-            consumed = 0
-            for beta, (accuracy, size, _) in by_layer[name]:
-                consumed += 1
-                recorded[name][bound_key(beta)] = self._point(
-                    name, beta, accuracy, size, baseline
-                )
-                if baseline - accuracy > config.distortion_criterion:
-                    fine_start = beta / 10.0
-                    break
-            extras = by_layer[name][consumed:]
-            if fine_start is not None:
-                scan = _FineScan(
-                    schedule=_fine_bounds(fine_start, config.max_fine_tests)
-                )
-                # Trimmed coarse results stay usable: the fine schedule may
-                # climb back up to these bounds.  The exact coarse float is
-                # kept with each result — reuse demands bit-equality, since
-                # a near-equal bound can compress differently.
-                scan.evaluated.update(
-                    {bound_key(beta): (beta, result) for beta, result in extras}
-                )
-                scans[name] = scan
-            else:
-                # No break means nothing was trimmed (extras is empty).
-                self.stats.speculative_wasted += len(extras)
-
-        # -- fine: concurrent per-layer scans with lookahead waves ---------
-        active = dict(scans)
+        active = list(scans.values())
         while active:
-            # Split the pool across the still-active layers; each layer
-            # speculates on its next `lookahead` un-evaluated bounds.
-            lookahead = max(1, -(-self.workers // len(active)))
-            wave: List[Tuple[str, float]] = []
-            for name, scan in active.items():
-                pending = 0
-                for eb in scan.schedule[scan.position :]:
-                    key = bound_key(eb)
-                    if key in recorded[name]:
-                        continue
-                    hit = scan.evaluated.get(key)
-                    if hit is not None and hit[0] == eb:
-                        continue  # reusable: computed at this exact float
-                    wave.append((name, eb))
-                    pending += 1
-                    if pending >= lookahead:
-                        break
+            share = max(1, -(-self.workers // len(active)))
+            wave = [(scan, eb) for scan in active for eb in scan.ask(share)]
             results = self.pool.map(
-                lambda task: self._evaluate(network, contexts[task[0]], task[1]),
+                lambda task: self._evaluate(
+                    network, self._contexts[task[0].layer], task[1]
+                ),
                 wave,
             )
-            for (name, eb), result in zip(wave, results):
-                self._note(result[2])
-                scan = active[name]
-                key = bound_key(eb)
-                if key in scan.evaluated:
-                    # A seeded coarse result at a near-but-not-bit-equal
-                    # bound: superseded by the exact evaluation.
-                    self.stats.speculative_wasted += 1
-                scan.evaluated[key] = (eb, result)
-            for name in list(active):
-                scan = active[name]
-                done = False
-                # Advance the cursor over every bound whose result is known
-                # at the exact schedule float.
-                while scan.position < len(scan.schedule):
-                    eb = scan.schedule[scan.position]
-                    key = bound_key(eb)
-                    known = scan.evaluated.get(key)
-                    if key in recorded[name]:
-                        point = recorded[name][key]
-                    elif known is not None and known[0] == eb:
-                        accuracy, size, _ = known[1]
-                        point = self._point(name, eb, accuracy, size, baseline)
-                        recorded[name][key] = point
-                    else:
-                        break
-                    scan.position += 1
-                    if point.degradation > config.expected_accuracy_loss:
-                        done = True
-                        break
-                if done or scan.position >= len(scan.schedule):
-                    leftovers = sum(
-                        1 for k in scan.evaluated if k not in recorded[name]
-                    )
-                    self.stats.speculative_wasted += leftovers
-                    del active[name]
-        return recorded
+            for (scan, eb), (accuracy, size, hit) in zip(wave, results):
+                if hit:
+                    self.stats.cache_hits += 1
+                else:
+                    self.stats.evaluations += 1
+                scan.tell(eb, accuracy, size)
+            active = [scan for scan in active if not scan.done]
+        return scans

@@ -16,6 +16,12 @@ so no payload is decoded during the sweep.  The sweep follows Algorithm 1:
 
 The collected ``(error bound, degradation, size)`` triples for each layer are
 the input of the Algorithm 2 optimizer.
+
+:class:`LayerScan` is that control flow for one layer, written once as an
+ask/tell loop: :func:`assess_layer` drives it one bound at a time, and the
+:class:`~repro.core.assess_parallel.AssessmentEngine` drives every layer's
+scan in waves, asking each for several bounds ahead.  Either way the scan
+records exactly the points the one-at-a-time loop records.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.codecs import best_fit_lossless, get_codec
+from repro.nn.layers import Dense
 from repro.nn.network import Network, topk_counts
 from repro.pruning.sparse_format import SparseLayer, decode_sparse
 from repro.utils.errors import ValidationError
@@ -37,6 +44,7 @@ __all__ = [
     "AssessmentPoint",
     "LayerAssessment",
     "AssessmentResult",
+    "LayerScan",
     "bound_key",
     "evaluate_candidate",
     "assess_layer",
@@ -50,8 +58,8 @@ def bound_key(error_bound: float) -> str:
     Algorithm 1's schedules only ever produce bounds of the form
     ``step * 10^decade`` with ``step`` in 1..9 (anchored at a coarse bound),
     but historically the fine schedule *accumulated* floating-point sums, so
-    two logically equal bounds could differ in the last ulp: the exact-float
-    dedup in :func:`assess_layer` would then evaluate both, while the
+    two logically equal bounds could differ in the last ulp: an exact-float
+    dedup in the scan would then evaluate both, while the
     ``np.isclose`` lookup in :meth:`LayerAssessment.point_for` could match
     either.  This key snaps a bound to its decade/step grid point when it is
     within 1e-9 relative of one, and otherwise falls back to the shortest
@@ -118,6 +126,9 @@ class LayerAssessment:
     layer: str
     baseline_accuracy: float
     points: List[AssessmentPoint] = field(default_factory=list)
+    #: The expected accuracy loss the sweep stopped on (``inf`` for a
+    #: hand-built assessment: every point counts as feasible).
+    expected_loss: float = math.inf
 
     def point_for(self, error_bound: float) -> AssessmentPoint:
         key = bound_key(error_bound)
@@ -144,15 +155,9 @@ class LayerAssessment:
         start = ordered[0].error_bound
         end = start
         for point in ordered:
-            if point.degradation <= _last_expected_loss(self):
+            if point.degradation <= self.expected_loss:
                 end = point.error_bound
         return (start, end)
-
-
-def _last_expected_loss(assessment: "LayerAssessment") -> float:
-    # The expected loss is recorded on the result object by assess_layer via
-    # a private attribute; default to +inf when probing hand-built objects.
-    return getattr(assessment, "_expected_loss", float("inf"))
 
 
 @dataclass
@@ -256,46 +261,56 @@ def evaluate_candidate(
 ) -> tuple[float, int]:
     """Accuracy and compressed size with one layer reconstructed at ``error_bound``.
 
-    This is the unit of work Algorithm 1 repeats and the parallel harness
-    distributes: compress the layer's data array with SZ (keeping the
-    values a decode would give), rebuild the dense weights through the
-    index array, and run the forward pass with those weights substituted
-    *functionally* — the network is never mutated, so candidates are pure
-    tasks that can run concurrently.
+    This is the unit of work Algorithm 1 repeats, in its self-contained
+    form: compress the layer's data array with SZ (keeping the values a
+    decode would give), fit the index array's lossless backend, rebuild the
+    dense weights through the index array, and run the forward pass with
+    those weights substituted *functionally* — the network is never
+    mutated, so candidates are pure tasks that can run concurrently.
 
     ``activations`` optionally supplies the checkpointed inputs of
     ``layer_name`` (see :meth:`Network.forward_to`); without it the
     checkpoint is recomputed from ``test_images``, which costs one upstream
     forward pass per call.
     """
-    from repro.nn.layers import Dense
-
     config = config or AssessmentConfig()
     dense, payload_bytes = reconstruct_candidate(sparse_layer, error_bound, config)
     compressed_bytes = payload_bytes + len(index_fit(sparse_layer, config)[1])
-    if isinstance(network[layer_name], Dense):
-        if activations is None:
-            activations = checkpoint_activations(
-                network, layer_name, test_images, batch_size=config.eval_batch_size
-            )
-        accuracy = accuracy_with_substitution(
-            network,
-            layer_name,
-            dense,
-            activations,
-            test_labels,
-            batch_size=config.eval_batch_size,
-        )
-    else:
-        # Clone-on-write fallback for non-Dense weight layers (the historical
-        # set_weights path supported them): still pure with respect to the
-        # shared network, just without the functional resume.
-        clone = network.clone()
-        clone.set_weights(layer_name, dense)
-        accuracy = clone.accuracy(
-            test_images, test_labels, batch_size=config.eval_batch_size
-        )
+    accuracy = _candidate_accuracy(
+        network, layer_name, dense, test_images, test_labels, config, activations
+    )
     return accuracy, compressed_bytes
+
+
+def _candidate_accuracy(
+    network: Network,
+    layer_name: str,
+    weights: np.ndarray,
+    test_images: np.ndarray,
+    test_labels: np.ndarray,
+    config: AssessmentConfig,
+    activations: np.ndarray | None,
+) -> float:
+    """Top-1 accuracy with ``weights`` substituted into ``layer_name``.
+
+    Dense layers resume from ``activations`` (recomputed from
+    ``test_images`` when None).  Other weight layers (the historical
+    set_weights path supported them) evaluate a clone with the weights
+    written in: still pure with respect to the shared network, just
+    without the functional resume.
+    """
+    batch_size = config.eval_batch_size
+    if not isinstance(network[layer_name], Dense):
+        clone = network.clone()
+        clone.set_weights(layer_name, weights)
+        return clone.accuracy(test_images, test_labels, batch_size=batch_size)
+    if activations is None:
+        activations = checkpoint_activations(
+            network, layer_name, test_images, batch_size=batch_size
+        )
+    return accuracy_with_substitution(
+        network, layer_name, weights, activations, test_labels, batch_size=batch_size
+    )
 
 
 def checkpoint_activations(
@@ -340,6 +355,84 @@ def _fine_bounds(start: float, max_tests: int) -> List[float]:
     return bounds
 
 
+class LayerScan:
+    """Algorithm 1 for one layer, as an ask/tell loop.
+
+    The scan walks a schedule with a cursor: first the coarse bounds, and
+    after the first coarse bound whose degradation exceeds the distortion
+    criterion, the fine schedule from one decade below it; it is done after
+    the first fine bound whose degradation exceeds the expected loss (or at
+    the end of a schedule).  :meth:`ask` names bounds the cursor still
+    needs, :meth:`tell` stores a result and moves the cursor over every
+    consecutive bound whose result is known.
+
+    A result is *recorded* as a point only when the cursor reaches it, so
+    results told past a stop (speculation) are trimmed and :attr:`points`
+    equal the one-at-a-time scan's for any ask size.  A recorded point is
+    reused by :func:`bound_key`; a told but unrecorded result is reused only
+    at the bitwise-same float, since a near-equal bound can compress
+    differently.
+    """
+
+    def __init__(
+        self, layer: str, baseline_accuracy: float, config: AssessmentConfig
+    ) -> None:
+        self.layer = layer
+        self.baseline_accuracy = baseline_accuracy
+        self.config = config
+        self.schedule: List[float] = list(config.coarse_bounds)
+        self.position = 0
+        self.fine = False
+        self.done = False
+        self.told = 0  #: results told, recorded or not
+        self._results: Dict[str, tuple[float, float, int]] = {}
+        self._recorded: Dict[str, AssessmentPoint] = {}
+
+    @property
+    def points(self) -> List[AssessmentPoint]:
+        return sorted(self._recorded.values(), key=lambda p: p.error_bound)
+
+    def _known(self, eb: float) -> bool:
+        key = bound_key(eb)
+        return key in self._recorded or self._results.get(key, (None,))[0] == eb
+
+    def ask(self, k: int) -> List[float]:
+        """The next ``<= k`` unknown bounds the scan needs if it does not
+        stop first; in the coarse phase, only coarse bounds."""
+        asked: Dict[str, float] = {}
+        for eb in [] if self.done else self.schedule[self.position :]:
+            if len(asked) == k:
+                break
+            key = bound_key(eb)
+            if key not in asked and not self._known(eb):
+                asked[key] = eb
+        return list(asked.values())
+
+    def tell(self, error_bound: float, accuracy: float, size: int) -> None:
+        self.told += 1
+        self._results[bound_key(error_bound)] = (error_bound, accuracy, size)
+        config = self.config
+        while not self.done and self.position < len(self.schedule):
+            eb = self.schedule[self.position]
+            if not self._known(eb):
+                return
+            key = bound_key(eb)
+            if key not in self._recorded:
+                _, acc, nbytes = self._results[key]
+                self._recorded[key] = AssessmentPoint(
+                    self.layer, eb, acc, self.baseline_accuracy - acc, nbytes
+                )
+            degradation = self._recorded[key].degradation
+            self.position += 1
+            if not self.fine and degradation > config.distortion_criterion:
+                # Coarse break: fine scan from one decade below this point.
+                self.schedule = _fine_bounds(eb / 10.0, config.max_fine_tests)
+                self.position, self.fine = 0, True
+            elif self.fine and degradation > config.expected_accuracy_loss:
+                self.done = True
+        self.done = True
+
+
 def assess_layer(
     network: Network,
     layer_name: str,
@@ -351,67 +444,25 @@ def assess_layer(
     config: AssessmentConfig | None = None,
     evaluator: Callable[..., tuple[float, int]] | None = None,
 ) -> tuple[LayerAssessment, int]:
-    """Run Algorithm 1 for a single fc-layer.
+    """Run Algorithm 1 for a single fc-layer, one candidate at a time.
 
     Returns the layer assessment and the number of accuracy tests performed.
     ``evaluator`` can override :func:`evaluate_candidate` (used by the
-    parallel harness and by tests).
+    benchmarks' serial baseline and by tests).
     """
     config = config or AssessmentConfig()
     evaluator = evaluator or evaluate_candidate
-    assessment = LayerAssessment(layer=layer_name, baseline_accuracy=baseline_accuracy)
-    assessment._expected_loss = config.expected_accuracy_loss  # type: ignore[attr-defined]
-    tests = 0
-    # Deduplication uses the canonical bound key, matching point_for: an
-    # exact-float key would treat near-equal bounds (coarse anchor vs the
-    # same value reached through the fine schedule) as distinct and
-    # evaluate them twice.
-    seen: Dict[str, AssessmentPoint] = {}
-
-    def run(eb: float) -> AssessmentPoint:
-        nonlocal tests
-        key = bound_key(eb)
-        if key in seen:
-            return seen[key]
-        accuracy, size = evaluator(
-            network, layer_name, sparse_layer, eb, test_images, test_labels, config=config
-        )
-        tests += 1
-        point = AssessmentPoint(
-            layer=layer_name,
-            error_bound=eb,
-            accuracy=accuracy,
-            degradation=baseline_accuracy - accuracy,
-            compressed_bytes=size,
-        )
-        seen[key] = point
-        return point
-
-    # Coarse scan: find the decade where distortion first appears.
-    fine_start: float | None = None
-    last_coarse: AssessmentPoint | None = None
-    for beta in config.coarse_bounds:
-        point = run(beta)
-        last_coarse = point
-        if point.degradation > config.distortion_criterion:
-            fine_start = beta / 10.0
-            break
-
-    if fine_start is None:
-        # Even the largest coarse bound stays within the distortion criterion:
-        # the feasible range is the whole coarse schedule; keep those points.
-        assessment.points = sorted(seen.values(), key=lambda p: p.error_bound)
-        return assessment, tests
-
-    # Fine scan (Check procedure): walk upward from one decade below the
-    # distortion point until the degradation exceeds the expected loss.
-    for eb in _fine_bounds(fine_start, config.max_fine_tests):
-        point = run(eb)
-        if point.degradation > config.expected_accuracy_loss:
-            break
-
-    assessment.points = sorted(seen.values(), key=lambda p: p.error_bound)
-    return assessment, tests
+    scan = LayerScan(layer_name, baseline_accuracy, config)
+    while not scan.done:
+        for eb in scan.ask(1):
+            scan.tell(eb, *evaluator(
+                network, layer_name, sparse_layer, eb, test_images, test_labels,
+                config=config,
+            ))
+    assessment = LayerAssessment(
+        layer_name, baseline_accuracy, scan.points, config.expected_accuracy_loss
+    )
+    return assessment, scan.told
 
 
 def assess_network(
@@ -423,7 +474,6 @@ def assess_network(
     config: AssessmentConfig | None = None,
     evaluator: Callable[..., tuple[float, int]] | None = None,
     workers: int | None = 1,
-    reuse_activations: bool = True,
     cache=None,
 ) -> AssessmentResult:
     """Run Algorithm 1 for every pruned fc-layer of a network.
@@ -437,20 +487,15 @@ def assess_network(
     engine returns bit-identical points, test counts, and downstream
     optimizer plans for every worker count.
 
-    Passing ``evaluator`` keeps the historical serial loop — it is the
-    baseline the benchmarks compare against and the hook tests use to fake
-    evaluations.
+    Passing ``evaluator`` runs :func:`assess_layer` layer by layer instead —
+    the serial baseline the benchmarks compare against and the hook tests
+    use to fake evaluations.
     """
     config = config or AssessmentConfig()
     if evaluator is None:
         from repro.core.assess_parallel import AssessmentEngine
 
-        engine = AssessmentEngine(
-            config,
-            workers=workers,
-            reuse_activations=reuse_activations,
-            cache=cache,
-        )
+        engine = AssessmentEngine(config, workers=workers, cache=cache)
         return engine.run(network, sparse_layers, test_images, test_labels)
 
     baseline = network.accuracy(test_images, test_labels, batch_size=config.eval_batch_size)

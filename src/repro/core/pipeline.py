@@ -232,8 +232,6 @@ class DeepSZ:
         pruned: PrunedNetwork,
         test_images: np.ndarray,
         test_labels: np.ndarray,
-        *,
-        evaluator=None,
     ) -> DeepSZResult:
         """Steps 2–4 on an already pruned network."""
         cfg = self.config
@@ -261,7 +259,6 @@ class DeepSZ:
             assess_images,
             assess_labels,
             config=cfg.assessment_config(),
-            evaluator=evaluator,
             workers=cfg.workers,
             cache=cache,
         )
@@ -291,7 +288,7 @@ class DeepSZ:
             workers=cfg.workers,
         )
         # Step 2 fitted the index arrays with the same candidates; a layer
-        # it did not fit (cache hits, a custom evaluator) is fitted here.
+        # it did not fit (all its candidates were cache hits) is fitted here.
         model = encoder.encode(
             network.name,
             sparse_layers,

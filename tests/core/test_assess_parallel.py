@@ -92,17 +92,6 @@ class TestSerialParallelParity:
         assert _snapshot(serial) == _snapshot(parallel)
         assert serial.tests_performed == parallel.tests_performed
 
-    def test_reuse_disabled_identical(self, assessment_inputs):
-        network, sparse, test = assessment_inputs
-        with_reuse = assess_network(
-            network, sparse, test.images, test.labels, config=CFG, workers=1
-        )
-        without = assess_network(
-            network, sparse, test.images, test.labels,
-            config=CFG, workers=1, reuse_activations=False,
-        )
-        assert _snapshot(with_reuse) == _snapshot(without)
-
 
 class TestEnginePurity:
     def test_network_untouched(self, assessment_inputs):

@@ -1,11 +1,14 @@
-"""Property tests for the Algorithm 1 schedules and canonical bound keys."""
+"""Property tests for the Algorithm 1 schedules, canonical bound keys and
+the ask/tell :class:`LayerScan`."""
 
 import math
+import random
+import zlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.assessment import _fine_bounds, bound_key
+from repro.core.assessment import AssessmentConfig, LayerScan, _fine_bounds, bound_key
 
 starts = st.one_of(
     # Decade starts (what Algorithm 1 actually feeds in: coarse bound / 10)...
@@ -97,3 +100,123 @@ class TestBoundKeyProperties:
         assert bound_key(5e-324) == repr(5e-324)
         assert bound_key(1e308) == "1e308"
         assert bound_key(1.7e308) == repr(1.7e308)
+
+
+BASELINE = 0.9
+
+
+def _table(distortion_knee, stop_knee, jitters):
+    """A non-monotone per-bound (accuracy, size) table.
+
+    The degradation steps up at ``distortion_knee`` (past the 0.1%
+    criterion) and again at ``stop_knee`` (past the 1% expected loss), plus
+    a jitter keyed on the bound's *exact* float, so two near-equal bounds
+    under one canonical key can score differently — as two real encodes
+    can.
+    """
+
+    def evaluate(eb):
+        slot = zlib.crc32(repr(eb).encode())
+        level = 0.0 if eb < distortion_knee else 0.005 if eb < stop_knee else 0.02
+        return BASELINE - (level + jitters[slot % len(jitters)]), 1000 + slot % 997
+
+    return evaluate
+
+
+def _algorithm1(evaluate, config):
+    """Algorithm 1 as the paper writes it: the oracle for the scan."""
+    points = {}
+
+    def run(eb):
+        key = bound_key(eb)
+        if key not in points:
+            accuracy, size = evaluate(eb)
+            points[key] = (eb, accuracy, BASELINE - accuracy, size)
+        return points[key][2]
+
+    for beta in config.coarse_bounds:
+        if run(beta) > config.distortion_criterion:
+            for eb in _fine_bounds(beta / 10.0, config.max_fine_tests):
+                if run(eb) > config.expected_accuracy_loss:
+                    break
+            break
+    return sorted(points.values())
+
+
+def _drive(evaluate, config, k, rng):
+    """Run a scan in waves of ``ask(k)``, telling each wave in random order."""
+    scan = LayerScan("fc", BASELINE, config)
+    told = []
+    while not scan.done:
+        wave = scan.ask(k)
+        assert 1 <= len(wave) <= k
+        if not scan.fine:
+            assert set(wave) <= set(config.coarse_bounds)
+        rng.shuffle(wave)
+        for eb in wave:
+            scan.tell(eb, *evaluate(eb))
+            told.append(eb)
+    assert scan.ask(k) == []
+    assert scan.told == len(told)
+    return scan, told
+
+
+coarse_schedules = st.tuples(
+    st.sampled_from([1, 2, 3, 7, 9]),
+    st.integers(min_value=-5, max_value=-2),
+    st.integers(min_value=1, max_value=4),
+).map(lambda t: tuple(float(f"{t[0]}e{d}") for d in range(t[1], t[1] + t[2])))
+knees = st.integers(min_value=-60, max_value=5).map(lambda e: 10.0 ** (e / 10))
+
+
+class TestLayerScanProperties:
+    @given(
+        coarse=coarse_schedules,
+        max_fine_tests=st.integers(min_value=1, max_value=30),
+        distortion_knee=knees,
+        stop_knee=knees,
+        jitters=st.lists(
+            st.sampled_from([-0.004, 0.0, 0.003, 0.02]), min_size=1, max_size=6
+        ),
+        k=st.integers(min_value=1, max_value=8),
+        rng=st.randoms(use_true_random=False),
+    )
+    # Speculation past a break at 3e-3 evaluates the coarse 0.03; the fine
+    # scan later reaches 0.030000000000000002, the same canonical key at a
+    # different float, and must evaluate it rather than reuse 0.03's result.
+    @example(
+        coarse=(3e-3, 3e-2, 3e-1),
+        max_fine_tests=24,
+        distortion_knee=1e-3,
+        stop_knee=1.0,
+        jitters=[0.0, 0.003],
+        k=3,
+        rng=random.Random(0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_ask_size_records_the_serial_points(
+        self, coarse, max_fine_tests, distortion_knee, stop_knee, jitters, k, rng
+    ):
+        config = AssessmentConfig(
+            expected_accuracy_loss=0.01,
+            coarse_bounds=coarse,
+            max_fine_tests=max_fine_tests,
+        )
+        evaluate = _table(distortion_knee, stop_knee, jitters)
+        serial, _ = _drive(evaluate, config, 1, rng)
+        assert serial.told == len(serial.points)  # one at a time wastes nothing
+        assert [
+            (p.error_bound, p.accuracy, p.degradation, p.compressed_bytes)
+            for p in serial.points
+        ] == _algorithm1(evaluate, config)
+
+        scan, told = _drive(evaluate, config, k, rng)
+        assert scan.points == serial.points
+        assert len(scan.points) == serial.told
+        # No float is evaluated twice and each recorded point is backed by
+        # its own tell, so told - recorded counts exactly the speculation
+        # that was trimmed.
+        recorded = {p.error_bound for p in scan.points}
+        assert len(set(told)) == len(told)
+        assert recorded <= set(told)
+        assert scan.told - len(scan.points) == len(set(told) - recorded)

@@ -37,7 +37,19 @@ _SPAWN = multiprocessing.get_context("spawn")
 
 
 def _repro_segments() -> set:
-    return {f for f in os.listdir("/dev/shm") if f.startswith(("repro_", "psm_"))}
+    """This run's shared-memory segments, plus any ``psm_`` one.
+
+    Both kinds of ``repro_`` segment carry the PID of the process that
+    created them (``repro_obs_<pid>_<seq>``, ``repro_<digest>_<pid>_<seq>``),
+    and the gateway creates them in this process, so a suite running
+    alongside on the same host does not show up here.  The package never
+    creates ``psm_`` segments, so any of those counts.
+    """
+    pid = str(os.getpid())
+    return {
+        f for f in os.listdir("/dev/shm")
+        if f.startswith("psm_") or (f.startswith("repro_") and f.split("_")[2:3] == [pid])
+    }
 
 
 def make_session_network() -> Network:
