@@ -13,10 +13,13 @@ multi-layer model:
 
 A second experiment drives the multi-model :class:`repro.serve.Gateway`
 over a chained synthetic MLP and sweeps the replica pool 1 -> 2 -> 4 under
-closed-loop client load.  The sweep runs on the ``REPRO_GATEWAY_BACKEND``
-replica backend — default ``process``: worker processes serving zero-copy
-from the shared-memory weight cache, the configuration whose throughput
-can actually rise with the pool because replicas stop sharing one GIL.
+closed-loop client load.  Every gateway load here is a trace replayed by
+:func:`repro.sim.driver.drive_gateway` and held to its accounting
+(:func:`repro.sim.driver.check_accounting`).  The sweep runs on the
+``REPRO_GATEWAY_BACKEND`` replica backend — default ``process``: worker
+processes serving zero-copy from the shared-memory weight cache, the
+configuration whose throughput can actually rise with the pool because
+replicas stop sharing one GIL.
 When the primary sweep is process-backed, a second ``thread``-backend
 sweep runs under identical load for the thread-vs-process comparison (and
 so the thread numbers stay gated against their own baseline).  On a
@@ -61,8 +64,10 @@ from repro.analysis import format_bytes, render_table
 from repro.core.encoder import DeepSZEncoder
 from repro.pruning.magnitude import prune_weights
 from repro.pruning.sparse_format import encode_sparse
-from repro.serve.bench import gateway_benchmark, serving_benchmark
-from repro.store import archive_bytes
+from repro.serve.bench import serving_benchmark
+from repro.sim.driver import check_accounting, drive_gateway
+from repro.sim.workload import SimRequest, WorkloadTrace
+from repro.store import archive_bytes, archive_input_dim
 
 #: Paper-ish fc-layer shapes (AlexNet fc6/fc7/fc8), shrunk by REPRO_SCALE.
 _LAYER_SHAPES = {"fc6": (9216, 4096), "fc7": (4096, 4096), "fc8": (4096, 1000)}
@@ -120,6 +125,125 @@ def _gateway_backend() -> str:
     return backend
 
 
+def _replay(names, requests) -> WorkloadTrace:
+    """A trace of ``requests``, every arrival at 0."""
+    return WorkloadTrace(
+        scenario="bench-serving",
+        seed=0,
+        duration_s=0.0,
+        rate_rps=0.0,
+        models=tuple(names),
+        tenants=tuple(sorted({req.tenant for req in requests})),
+        params={},
+        requests=tuple(requests),
+    )
+
+
+def _gateway_run(
+    sources, *, replicas, clients, requests_per_client, backend,
+    sparse=None, frontdoor="sync", burst=1, max_concurrency=None,
+    saturation_queue_depth=None,
+) -> dict:
+    """Closed-loop load on a fresh gateway, then optionally a flood.
+
+    Every model gets ``replicas`` round-robin replicas (batch 16) and an
+    admission queue that never rejects.  ``clients`` clients each send
+    ``requests_per_client`` requests in rounds of ``burst``, cycling the
+    models round by round.  With ``saturation_queue_depth`` set, a second
+    gateway with that queue depth and one in-service slot per replica
+    takes 6x its capacity per model, all at t=0.  Both phases must pass
+    :func:`check_accounting`.
+    """
+    names = list(sources)
+    sparse = sparse or {}
+    rng = np.random.default_rng(0)
+    inputs = {
+        name: rng.standard_normal((1, archive_input_dim(src))).astype(np.float32)[0]
+        for name, src in sources.items()
+    }
+
+    def hosted(max_queue_depth, concurrency_cap):
+        return {
+            name: dict(
+                source=src, replicas=replicas, sparse=sparse.get(name, False),
+                max_queue_depth=max_queue_depth, max_concurrency=concurrency_cap,
+                batch_size=16, replica_backend=backend,
+            )
+            for name, src in sources.items()
+        }
+
+    # Request j belongs to client j % clients (the driver's slicing); that
+    # client's round r = (j // clients) // burst goes to model (client + r).
+    total = clients * requests_per_client
+    closed = _replay(names, [
+        SimRequest(0.0, names[(j % clients + j // clients // burst) % len(names)],
+                   f"client-{j % clients}")
+        for j in range(total)
+    ])
+    run, stats = drive_gateway(
+        hosted(total + 1, max_concurrency), closed, inputs, frontdoor=frontdoor,
+        mode="closed", observe=lambda gateway: gateway.stats(),
+        clients=clients, burst=burst,
+    )
+    check_accounting("closed-loop", run, stats)
+    servers = [
+        replica.server for model in stats.models.values() for replica in model.replicas
+    ]
+    batches = sum(server.batches for server in servers)
+    batch_items = sum(server.mean_batch_size * server.batches for server in servers)
+    result = {
+        "models": len(names),
+        "replicas": replicas,
+        "backend": backend,
+        "frontdoor": frontdoor,
+        "policy": "round-robin",
+        "clients": clients,
+        "burst": burst,
+        "requests": total,
+        "completed": run.completed,
+        "failures": run.failures,
+        "rejected": run.rejected,
+        "elapsed_s": run.elapsed_s,
+        "throughput_rps": run.rps,
+        "latency_ms": dict(stats.latencies_ms),
+        "mean_batch_size": batch_items / batches if batches else 0.0,
+        "cache_bytes": stats.cache_bytes,
+        "shared_bytes": stats.shared_bytes,
+        "per_model": {
+            name: {
+                "completed": model.completed,
+                "throughput_rps": model.throughput_rps,
+                "latency_ms": dict(model.latencies_ms),
+                "cache_bytes": model.cache_bytes,
+                "dispatched": [replica.dispatched for replica in model.replicas],
+            }
+            for name, model in stats.models.items()
+        },
+    }
+    if saturation_queue_depth is not None:
+        depth, cap = saturation_queue_depth, replicas
+        flood = _replay(names, [
+            SimRequest(0.0, name, f"flood-{i}")
+            for name in names for i in range(6 * (depth + cap))
+        ])
+        run, stats = drive_gateway(
+            hosted(depth, cap), flood, inputs, frontdoor=frontdoor, mode="open",
+            observe=lambda gateway: gateway.stats(),
+        )
+        check_accounting("saturation", run, stats)
+        result["saturation"] = {
+            "queue_depth_limit": depth,
+            "max_concurrency": cap,
+            "offered": run.offered,
+            "admitted": run.offered - run.rejected,
+            "rejected": run.rejected,
+            "rejection_rate": run.rejection_rate,
+            "elapsed_s": run.elapsed_s,
+            "latency_ms": dict(stats.latencies_ms),
+        }
+    return result
+
+
 def _replica_sweep(
     sources, sparse_flags, *, backend, clients, requests_per_client, burst,
     saturate_last=True,
@@ -127,20 +251,17 @@ def _replica_sweep(
     sweep: dict = {}
     for count in _REPLICA_SWEEP:
         saturate = saturate_last and count == _REPLICA_SWEEP[-1]
-        sweep[str(count)] = gateway_benchmark(
+        sweep[str(count)] = _gateway_run(
             sources,
             replicas=count,
             clients=clients,
             requests_per_client=requests_per_client,
             burst=burst,
-            policy="round-robin",
             sparse=sparse_flags,
-            batch_size=16,
             backend=backend,
             # The sweep varies replicas only: a generous in-service cap
             # keeps admission control out of the scaling measurement.
             max_concurrency=clients * burst,
-            seed=0,
             saturation_queue_depth=8 if saturate else None,
         )
     return sweep
@@ -301,7 +422,7 @@ def bench_async_front_door() -> dict:
     runs = {"async": [], "sync": []}
     for _ in range(3):
         for frontdoor, outs in runs.items():
-            out = gateway_benchmark(
+            out = _gateway_run(
                 source,
                 frontdoor=frontdoor,
                 replicas=1,
@@ -309,8 +430,6 @@ def bench_async_front_door() -> dict:
                 requests_per_client=requests_per_client,
                 backend="process",
                 max_concurrency=clients,
-                seed=0,
-                saturation_queue_depth=None,
             )
             assert out["failures"] == 0 and out["rejected"] == 0, out
             outs.append(out)
@@ -375,15 +494,13 @@ def bench_obs_overhead() -> dict:
     requests_per_client = 24 if _smoke() else 64
 
     def throughput() -> float:
-        out = gateway_benchmark(
+        out = _gateway_run(
             source,
             replicas=2,
             clients=4,
             requests_per_client=requests_per_client,
             burst=2,
             backend="thread",
-            seed=0,
-            saturation_queue_depth=None,
         )
         return out["throughput_rps"]
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Validate observability artifacts a gateway-bench run produced.
+"""Validate observability artifacts a scenario-bench run produced.
 
 Checks a Prometheus text dump (``--metrics``) with the strict line-format
 parser and/or a trace JSONL (``--trace``) against the span schema, then

@@ -22,17 +22,14 @@ Subcommands
     the numbers, optionally as JSON.  ``--sparse`` serves layers in
     compressed-domain form (CSC matmuls straight from the two-array
     decode, with cache entries charged their true sparse footprint).
-``gateway-bench``
-    Benchmark the multi-model serving gateway: N synthetic models (dense,
-    sparse, or mixed), each behind a configurable replica pool and shard
-    policy, under closed-loop client load — swept over a list of replica
-    counts — followed by an open-loop saturation burst against a tiny
-    admission queue that shows bounded-queue rejection instead of latency
-    collapse.  ``--backend process`` runs the replicas as GIL-free worker
-    processes over the shared-memory weight cache (``both`` prints a
-    thread-vs-process comparison).
+``scenario-bench``
+    The one gateway load benchmark: replay seeded workload traces against
+    every cell of a scenario x policy x backend x front door x replicas x
+    queue-depth grid and write a ``BENCH_scenarios.json`` artifact.
+    ``--trace-sample``/``--trace-out`` export request spans and
+    ``--metrics-out`` dumps the metrics registry.
 ``metrics``
-    Render a metrics dump produced by ``gateway-bench --metrics-out`` (or
+    Render a metrics dump produced by ``scenario-bench --metrics-out`` (or
     any :meth:`~repro.obs.metrics.MetricsRegistry` exposition written to a
     file): one-shot by default, ``--watch SECONDS`` to re-render as the
     file is rewritten.  Prometheus text (``.prom``) and JSON dumps are both
@@ -265,125 +262,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gateway-bench
-# ---------------------------------------------------------------------------
-
-
-def _cmd_gateway_bench(args: argparse.Namespace) -> int:
-    from repro.core.encoder import DeepSZEncoder
-    from repro.serve.bench import gateway_benchmark
-    from repro.store import archive_bytes
-
-    if args.models < 1:
-        raise ValidationError("--models must be >= 1")
-    if args.sparse not in ("none", "mixed", "all"):
-        raise ValidationError("--sparse must be one of none, mixed, all")
-    replica_counts = sorted(
-        {int(r) for r in args.replicas.split(",") if r.strip()}
-    )
-    if not replica_counts or min(replica_counts) < 1:
-        raise ValidationError("--replicas needs positive comma-separated counts")
-
-    sources: Dict[str, bytes] = {}
-    sparse_flags: Dict[str, bool] = {}
-    encoder = DeepSZEncoder(workers=args.workers)
-    for index in range(args.models):
-        name = f"model-{index}"
-        layers = synthetic_sparse_layers(args.synthetic, seed=args.seed + index)
-        model = encoder.encode(name, layers, {n: args.error_bound for n in layers})
-        sources[name] = archive_bytes(model)
-        sparse_flags[name] = args.sparse == "all" or (
-            args.sparse == "mixed" and index % 2 == 1
-        )
-
-    trace_sample = float(args.trace_sample)
-    trace_out = args.trace_out
-    if trace_sample > 0.0 and trace_out is None:
-        trace_out = "gateway_trace.jsonl"
-
-    backends = ["thread", "process"] if args.backend == "both" else [args.backend]
-    by_backend: Dict[str, Dict[str, Dict]] = {}
-    for backend in backends:
-        sweep: Dict[str, Dict] = {}
-        for count in replica_counts:
-            sweep[str(count)] = gateway_benchmark(
-                sources,
-                replicas=count,
-                clients=args.clients,
-                requests_per_client=args.requests,
-                policy=args.policy,
-                sparse=sparse_flags,
-                batch_size=args.batch_size,
-                seed=args.seed,
-                backend=backend,
-                saturation_queue_depth=(
-                    args.queue_depth if count == replica_counts[-1] else None
-                ),
-                # Traces append across the sweep; the metrics dump is
-                # rewritten per run, so the file ends up with the final
-                # (largest-pool, last-backend) snapshot.
-                trace_sample=trace_sample,
-                trace_path=trace_out,
-                metrics_path=args.metrics_out,
-            )
-        by_backend[backend] = sweep
-
-    if args.json:
-        # Single-backend output keeps the historical {replicas: result}
-        # shape; --backend both nests it per backend.
-        payload = by_backend[backends[0]] if len(backends) == 1 else by_backend
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    mode = {"none": "dense", "all": "sparse", "mixed": "mixed dense/sparse"}[args.sparse]
-    rows = []
-    for backend in backends:
-        for count, result in by_backend[backend].items():
-            rows.append(
-                [
-                    backend,
-                    count,
-                    f"{result['throughput_rps']:,.0f} req/s",
-                    f"{result['latency_ms'].get('p50', 0.0):.2f} ms",
-                    f"{result['latency_ms'].get('p99', 0.0):.2f} ms",
-                    format_bytes(result["cache_bytes"] + result.get("shared_bytes", 0)),
-                ]
-            )
-    print(
-        render_table(
-            ["backend", "replicas", "throughput", "p50", "p99", "resident"],
-            rows,
-            title=(
-                f"gateway: {args.models} {mode} model(s), policy {args.policy!r}, "
-                f"{args.clients} clients x {args.requests} closed-loop requests"
-            ),
-        )
-    )
-    if len(backends) == 2:
-        # Thread-vs-process headline: the speedup at the largest pool.
-        top = str(replica_counts[-1])
-        thread_rps = by_backend["thread"][top]["throughput_rps"]
-        process_rps = by_backend["process"][top]["throughput_rps"]
-        ratio = process_rps / thread_rps if thread_rps else float("inf")
-        print(
-            f"process vs thread @ {top} replicas: "
-            f"{process_rps:,.0f} vs {thread_rps:,.0f} req/s ({ratio:.2f}x)"
-        )
-    for backend in backends:
-        saturation = by_backend[backend][str(replica_counts[-1])].get("saturation")
-        if saturation:
-            print(
-                f"[{backend}] saturation @ queue depth "
-                f"{saturation['queue_depth_limit']}: "
-                f"{saturation['offered']} offered -> {saturation['admitted']} admitted, "
-                f"{saturation['rejected']} fast-fail rejected "
-                f"({saturation['rejection_rate']:.0%}); admitted p99 "
-                f"{saturation['latency_ms'].get('p99', 0.0):.1f} ms"
-            )
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # scenario-bench
 # ---------------------------------------------------------------------------
 
@@ -393,6 +271,7 @@ def _csv(text: str) -> list:
 
 
 def _cmd_scenario_bench(args: argparse.Namespace) -> int:
+    from repro.obs.trace import JsonlSpanExporter, Tracer
     from repro.sim.matrix import (
         DEFAULT_SPEC,
         MatrixConfig,
@@ -439,6 +318,13 @@ def _cmd_scenario_bench(args: argparse.Namespace) -> int:
             synthetic=args.synthetic or DEFAULT_SPEC,
         )
         config.validate()
+    tracer = None
+    if args.trace_sample:
+        if not args.trace_out:
+            raise ValidationError("--trace-sample needs --trace-out")
+        tracer = Tracer(
+            args.trace_sample, JsonlSpanExporter(args.trace_out), seed=config.seed
+        )
 
     if args.dump_trace:
         from repro.sim.matrix import _render_traces
@@ -463,7 +349,13 @@ def _cmd_scenario_bench(args: argparse.Namespace) -> int:
             f"{len(config.frontdoors)} frontdoor(s))",
             flush=True,
         )
-    result = run_matrix(config, progress=progress)
+    try:
+        result = run_matrix(
+            config, progress=progress, tracer=tracer, metrics_path=args.metrics_out
+        )
+    finally:
+        if tracer is not None:
+            tracer.close()
     artifact = matrix_artifact(result, mode=args.bench_mode)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -837,49 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser(
-        "gateway-bench", help="benchmark the multi-model serving gateway"
-    )
-    p.add_argument("--models", type=int, default=2,
-                   help="number of synthetic models hosted behind the gateway")
-    p.add_argument("--synthetic", default=_DEFAULT_SPEC,
-                   help="synthetic layer spec for each model (seed varies per model)")
-    p.add_argument("--error-bound", type=float, default=1e-3,
-                   help="absolute error bound for the synthetic layers")
-    p.add_argument("--replicas", default="1,2,4",
-                   help="comma-separated replica counts to sweep")
-    p.add_argument("--clients", type=int, default=4,
-                   help="closed-loop client threads")
-    p.add_argument("--requests", type=int, default=64,
-                   help="requests per client per sweep point")
-    p.add_argument("--policy", default="round-robin",
-                   choices=["round-robin", "least-loaded", "consistent-hash"],
-                   help="shard policy for every model")
-    p.add_argument("--sparse", default="mixed", choices=["none", "mixed", "all"],
-                   help="serve models dense, mixed (odd models sparse), or all sparse")
-    p.add_argument("--backend", default="thread",
-                   choices=["thread", "process", "both"],
-                   help="replica backend: in-process threads, GIL-free worker "
-                        "processes over the shared-memory weight cache, or "
-                        "both for a side-by-side comparison")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="replica server dynamic-batching size")
-    p.add_argument("--queue-depth", type=int, default=8,
-                   help="admission queue depth for the saturation burst")
-    p.add_argument("--workers", type=int, default=1, help="encode pool workers")
-    p.add_argument("--seed", type=int, default=0, help="synthetic weight seed")
-    p.add_argument("--trace-sample", type=float, default=0.0,
-                   help="trace this fraction of closed-loop requests "
-                        "(span JSONL; 1.0 = every request)")
-    p.add_argument("--trace-out", default=None,
-                   help="span JSONL output path (default gateway_trace.jsonl "
-                        "when --trace-sample > 0)")
-    p.add_argument("--metrics-out", default=None,
-                   help="dump the metrics registry here after the closed-loop "
-                        "phase (.prom = Prometheus text, else JSON)")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_gateway_bench)
-
-    p = sub.add_parser(
         "scenario-bench",
         help="run a scenario x policy workload-simulation matrix",
         description=(
@@ -934,6 +783,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --dump-trace: stop after writing the traces")
     p.add_argument("--list-scenarios", action="store_true",
                    help="print the scenario catalog and exit")
+    p.add_argument("--trace-sample", type=float, default=0.0,
+                   help="trace this fraction of every cell's requests "
+                        "(span JSONL; 1.0 = every request)")
+    p.add_argument("--trace-out", default=None,
+                   help="span JSONL output path (required with --trace-sample)")
+    p.add_argument("--metrics-out", default=None,
+                   help="dump each cell's metrics registry here after its "
+                        "replay; the last cell's stays (.prom = Prometheus "
+                        "text, else JSON)")
     p.add_argument("--json", action="store_true", help="emit the artifact JSON")
     p.set_defaults(func=_cmd_scenario_bench)
 

@@ -19,11 +19,9 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.assessment import AssessmentResult
+from repro.core.assessment import AssessmentConfig, AssessmentResult, reconstruct_candidate
 from repro.nn.network import Network
-from repro.pruning.sparse_format import SparseLayer, decode_sparse
-from repro.sz.compressor import SZCompressor
-from repro.sz.config import SZConfig
+from repro.pruning.sparse_format import SparseLayer
 from repro.utils.errors import ValidationError
 from repro.utils.rng import make_rng
 
@@ -87,6 +85,8 @@ def linearity_probe(
     rng = make_rng(seed)
     layer_names = list(sparse_layers)
     baseline = network.accuracy(test_images, test_labels, batch_size=batch_size)
+    config = AssessmentConfig(capacity=capacity)
+    work = network.clone()  # the caller's network is never touched
 
     # Cache per-(layer, eb) reconstructions and degradations.
     dense_cache: Dict[tuple[str, float], np.ndarray] = {}
@@ -95,23 +95,22 @@ def linearity_probe(
     def reconstruction(layer: str, eb: float) -> np.ndarray:
         key = (layer, eb)
         if key not in dense_cache:
-            compressor = SZCompressor(SZConfig(error_bound=eb, capacity=capacity))
-            payload = compressor.compress(sparse_layers[layer].data).payload
-            dense_cache[key] = decode_sparse(
-                sparse_layers[layer], data=compressor.decompress(payload)
-            )
+            dense_cache[key], _ = reconstruct_candidate(sparse_layers[layer], eb, config)
         return dense_cache[key]
+
+    def loss_with(choice: Mapping[str, float]) -> float:
+        for layer in layer_names:
+            eb = choice.get(layer)
+            work.set_weights(
+                layer,
+                network.get_weights(layer) if eb is None else reconstruction(layer, eb),
+            )
+        return baseline - work.accuracy(test_images, test_labels, batch_size=batch_size)
 
     def layer_delta(layer: str, eb: float) -> float:
         key = (layer, eb)
         if key not in delta_cache:
-            original = network.get_weights(layer)
-            try:
-                network.set_weights(layer, reconstruction(layer, eb))
-                acc = network.accuracy(test_images, test_labels, batch_size=batch_size)
-            finally:
-                network.set_weights(layer, original)
-            delta_cache[key] = baseline - acc
+            delta_cache[key] = loss_with({layer: eb})
         return delta_cache[key]
 
     expected: List[float] = []
@@ -120,16 +119,7 @@ def linearity_probe(
     for _ in range(samples):
         combo = {layer: float(rng.choice(grid)) for layer in layer_names}
         expected.append(sum(layer_delta(layer, eb) for layer, eb in combo.items()))
-
-        originals = {layer: network.get_weights(layer) for layer in layer_names}
-        try:
-            for layer, eb in combo.items():
-                network.set_weights(layer, reconstruction(layer, eb))
-            joint_acc = network.accuracy(test_images, test_labels, batch_size=batch_size)
-        finally:
-            for layer, weights in originals.items():
-                network.set_weights(layer, weights)
-        actual.append(baseline - joint_acc)
+        actual.append(loss_with(combo))
 
     expected_arr = np.asarray(expected)
     actual_arr = np.asarray(actual)

@@ -16,7 +16,7 @@ worker's spans nest correctly under the gateway-side root.
 
 Exported spans are flat JSON objects with exactly :data:`SPAN_FIELDS`;
 :class:`JsonlSpanExporter` writes one per line, which is what
-``gateway-bench --trace-sample`` produces and CI's validator re-parses.
+``scenario-bench --trace-sample`` produces and CI's validator re-parses.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@
   (``python -m repro serve-http``): ``/v1/infer/<model>``, ``/metrics``,
   ``/healthz``;
 * :mod:`repro.serve.bench` — the cold/warm/concurrency runtime harness
-  and the gateway harness (either front door; its load comes from the
-  :mod:`repro.sim.driver` replay drivers) behind ``python -m repro
-  serve-bench`` / ``gateway-bench`` and ``benchmarks/bench_serving.py``.
+  behind ``python -m repro serve-bench`` and
+  ``benchmarks/bench_serving.py``, and the metrics dump behind
+  ``scenario-bench --metrics-out``.
 """
 
 from repro.serve.async_gateway import AsyncGateway

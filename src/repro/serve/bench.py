@@ -1,10 +1,7 @@
-"""Measurement harnesses for the serving runtime and the gateway.
+"""Measurement harness for the serving runtime, plus the metrics dump.
 
-Two functions produce the numbers the serving story is judged on, shared by
-``python -m repro serve-bench`` / ``gateway-bench`` and
-``benchmarks/bench_serving.py``:
-
-:func:`serving_benchmark` measures one runtime:
+:func:`serving_benchmark` (``python -m repro serve-bench`` and
+``benchmarks/bench_serving.py``) measures one runtime:
 
 * **cold full decode** — a fresh runtime decoding every layer up front (the
   v1 monolithic experience);
@@ -15,57 +12,55 @@ Two functions produce the numbers the serving story is judged on, shared by
 * **layer-access throughput** at several thread counts against the warm
   cache (the cache is the serving hot path; this measures its contention).
 
-:func:`gateway_benchmark` drives a whole gateway — the blocking
-:class:`~repro.serve.Gateway` or the :class:`~repro.serve.AsyncGateway`,
-picked by ``frontdoor`` — under closed-loop client load (every client waits
-for each response before sending the next), then optionally slams it with
-an open-loop burst against a deliberately tiny admission queue to measure
-how overload degrades: bounded-queue rejections and stable latency for the
-admitted requests, not a latency collapse.  It sends no request itself:
-both phases are traces replayed by :func:`repro.sim.driver.drive_gateway`,
-and each phase's driver counts must agree with ``Gateway.stats()``.
+Gateway load is not measured here: every gateway load comes from the
+:mod:`repro.sim.driver` replay drivers, through the scenario matrix
+(``python -m repro scenario-bench``) or ``benchmarks/bench_serving.py``.
+:func:`dump_metrics` writes a metrics registry to a file for
+``scenario-bench --metrics-out``.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from repro.obs.metrics import registry as metrics_registry
-from repro.obs.trace import JsonlSpanExporter, Tracer
+from repro.obs.metrics import MetricsRegistry, registry as metrics_registry
 from repro.serve.runtime import DEFAULT_CACHE_BYTES, ModelRuntime
-from repro.sim.driver import check_accounting, drive_gateway
-from repro.sim.workload import SimRequest, WorkloadTrace
-from repro.store.archive import archive_input_dim
-from repro.utils.errors import ValidationError
 
 __all__ = [
     "serving_benchmark",
-    "gateway_benchmark",
     "dump_metrics",
 ]
 
+#: Published by :mod:`repro.obs.profile` to the process-wide registry only.
+_DECODE_STAGE_SERIES = ("repro_decode_stage_total", "repro_decode_stage_seconds_total")
 
-def dump_metrics(path: Union[str, Path]) -> Path:
-    """Write the process-wide metrics registry to ``path``.
 
-    ``.prom`` suffix selects Prometheus text exposition; anything else gets
-    the JSON form.  Returns the written path.
+def dump_metrics(path: Union[str, Path], registry: MetricsRegistry) -> Path:
+    """Write a private ``registry`` to ``path``, plus the decode-stage counters.
+
+    Decode stages are counted in the process-wide registry only, so a
+    private registry's dump (a scenario-matrix cell's) takes those series
+    from it.  ``.prom`` suffix selects Prometheus text exposition; anything
+    else gets the JSON form.  Returns the written path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    view = MetricsRegistry()
+    view.register_collector(registry.samples)
+    view.register_collector(
+        lambda: [s for s in metrics_registry().samples() if s.name in _DECODE_STAGE_SERIES]
+    )
     if path.suffix == ".prom":
-        path.write_text(metrics_registry().to_prometheus(), encoding="utf-8")
+        path.write_text(view.to_prometheus(), encoding="utf-8")
     else:
-        import json
-
         path.write_text(
-            json.dumps(metrics_registry().to_json(), indent=2, sort_keys=True),
-            encoding="utf-8",
+            json.dumps(view.to_json(), indent=2, sort_keys=True), encoding="utf-8"
         )
     return path
 
@@ -74,218 +69,6 @@ def _fresh_runtime(source, cache_bytes: int, sparse: bool) -> ModelRuntime:
     # bytes are re-wrapped per run; paths are re-opened (and re-mmapped),
     # so every "cold" measurement really starts from the container.
     return ModelRuntime(source, cache_bytes=cache_bytes, sparse=sparse)
-
-
-def _replay_trace(models: Sequence[str], requests: Sequence[SimRequest]) -> WorkloadTrace:
-    """A trace of ``requests`` with every arrival at 0 (no rendering knobs)."""
-    return WorkloadTrace(
-        scenario="gateway-benchmark",
-        seed=0,
-        duration_s=0.0,
-        rate_rps=0.0,
-        models=tuple(models),
-        tenants=tuple(sorted({req.tenant for req in requests})),
-        params={},
-        requests=tuple(requests),
-    )
-
-
-def gateway_benchmark(
-    sources: Dict[str, Union[str, bytes]],
-    *,
-    frontdoor: str = "sync",
-    replicas: int = 1,
-    clients: int = 4,
-    requests_per_client: int = 64,
-    burst: int = 1,
-    policy: str = "round-robin",
-    sparse: Union[bool, Dict[str, bool]] = False,
-    batch_size: int = 16,
-    max_batch_delay: float = 0.002,
-    max_concurrency: Optional[int] = None,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
-    seed: int = 0,
-    saturation_queue_depth: Optional[int] = 8,
-    backend: str = "thread",
-    trace_sample: float = 0.0,
-    trace_path: Optional[Union[str, Path]] = None,
-    metrics_path: Optional[Union[str, Path]] = None,
-) -> Dict:
-    """Drive a multi-model gateway under closed-loop load, then saturate it.
-
-    ``sources`` maps model names to archive paths/bytes; every model gets
-    ``replicas`` replicas and the same shard ``policy``.  ``sparse`` is a
-    bool for all models or a per-model dict.  ``frontdoor`` is ``"sync"``
-    (client threads on :class:`~repro.serve.Gateway`) or ``"async"``
-    (client coroutines on one event loop, :class:`~repro.serve.AsyncGateway`).
-    ``clients`` closed-loop clients each send ``requests_per_client``
-    requests, cycling through the models round by round, with shard key
-    ``client-<i>``, and wait for every response, which measures sustainable
-    aggregate throughput rather than queue growth.  ``burst`` submits that
-    many samples per round before waiting (a client with a camera roll, not
-    a single frame): outstanding requests ≈ ``clients * burst``, which is
-    what keeps a replica pool busy and lets dynamic batching coalesce.
-
-    With ``saturation_queue_depth`` set, a second gateway with that tiny
-    admission queue (and one in-service slot per replica) takes an
-    open-loop burst of ~6x its capacity per model, all arrivals at once;
-    the report shows how many requests were fast-fail rejected versus
-    admitted, and the p99 of the admitted ones — bounded-queue overload,
-    not latency collapse.  ``backend`` selects the replica execution
-    backend (``"thread"`` keeps everything in-process; ``"process"`` runs
-    GIL-free worker processes over the shared-memory weight cache).
-
-    ``trace_sample`` > 0 (with ``trace_path``) traces that fraction of the
-    closed-loop requests into a span JSONL file; ``metrics_path`` dumps the
-    metrics registry after the closed-loop phase (``.prom`` → Prometheus
-    text, else JSON).  Returns a JSON-ready dict; its ``mean_batch_size``
-    is the closed-loop phase's requests per forward pass over all replicas,
-    which shows whether batches still fill under the load.
-    """
-    if not sources:
-        raise ValidationError("gateway_benchmark needs at least one model source")
-    clients, burst = int(clients), int(burst)
-    if clients < 1 or int(requests_per_client) < 1:
-        raise ValidationError("clients and requests_per_client must be >= 1")
-    if burst < 1:
-        raise ValidationError("burst must be >= 1")
-    if float(trace_sample) > 0.0 and trace_path is None:
-        raise ValidationError("trace_sample > 0 needs a trace_path to export to")
-    names = list(sources)
-    sparse_by_name = (
-        dict(sparse) if isinstance(sparse, dict) else {name: bool(sparse) for name in names}
-    )
-    rng = np.random.default_rng(seed)
-    inputs = {
-        name: rng.standard_normal((1, archive_input_dim(src))).astype(np.float32)[0]
-        for name, src in sources.items()
-    }
-
-    def hosted(max_queue_depth: int, concurrency_cap: Optional[int]) -> Dict:
-        return {
-            name: dict(
-                source=src,
-                replicas=replicas,
-                sparse=sparse_by_name.get(name, False),
-                policy=policy,
-                max_queue_depth=max_queue_depth,
-                max_concurrency=concurrency_cap,
-                batch_size=batch_size,
-                max_batch_delay=max_batch_delay,
-                cache_bytes=cache_bytes,
-                replica_backend=backend,
-            )
-            for name, src in sources.items()
-        }
-
-    def closed_loop_stats(gateway):
-        stats = gateway.stats()
-        if metrics_path is not None:
-            dump_metrics(metrics_path)
-        return stats
-
-    # -- closed-loop load phase --------------------------------------------
-    # Request j belongs to client j % clients (the driver's slicing); that
-    # client's round r = (j // clients) // burst goes to model (client + r).
-    total_requests = clients * int(requests_per_client)
-    closed_trace = _replay_trace(names, [
-        SimRequest(0.0, names[(j % clients + j // clients // burst) % len(names)],
-                   f"client-{j % clients}")
-        for j in range(total_requests)
-    ])
-    exporter: Optional[JsonlSpanExporter] = None
-    tracer: Optional[Tracer] = None
-    if float(trace_sample) > 0.0:
-        exporter = JsonlSpanExporter(trace_path)
-        tracer = Tracer(float(trace_sample), exporter, seed=seed)
-    try:
-        run, stats = drive_gateway(
-            hosted(total_requests + 1, max_concurrency),
-            closed_trace,
-            inputs,
-            frontdoor=frontdoor,
-            mode="closed",
-            tracer=tracer,
-            observe=closed_loop_stats,
-            clients=clients,
-            burst=burst,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    check_accounting("closed-loop", run, stats)
-    servers = [
-        replica.server for model in stats.models.values() for replica in model.replicas
-    ]
-    batches = sum(server.batches for server in servers)
-    batch_items = sum(server.mean_batch_size * server.batches for server in servers)
-
-    results: Dict = {
-        "models": len(names),
-        "replicas": int(replicas),
-        "backend": backend,
-        "frontdoor": frontdoor,
-        "policy": policy,
-        "clients": clients,
-        "burst": burst,
-        "requests": total_requests,
-        "completed": run.completed,
-        "failures": run.failures,
-        "rejected": run.rejected,
-        "elapsed_s": run.elapsed_s,
-        "throughput_rps": run.rps,
-        "latency_ms": dict(stats.latencies_ms),
-        "mean_batch_size": batch_items / batches if batches else 0.0,
-        "cache_bytes": stats.cache_bytes,
-        "shared_bytes": stats.shared_bytes,
-        "per_model": {
-            name: {
-                "completed": model.completed,
-                "throughput_rps": model.throughput_rps,
-                "latency_ms": dict(model.latencies_ms),
-                "cache_bytes": model.cache_bytes,
-                "dispatched": [replica.dispatched for replica in model.replicas],
-            }
-            for name, model in stats.models.items()
-        },
-    }
-    if exporter is not None:
-        results["trace"] = {
-            "sample_rate": float(trace_sample),
-            "path": str(trace_path),
-            "spans_exported": int(exporter.exported),
-        }
-    if metrics_path is not None:
-        results["metrics_path"] = str(metrics_path)
-
-    # -- open-loop saturation phase ----------------------------------------
-    if saturation_queue_depth is not None:
-        depth = int(saturation_queue_depth)
-        concurrency_cap = max(1, int(replicas))
-        per_model = 6 * (depth + concurrency_cap)
-        flood = _replay_trace(names, [
-            SimRequest(0.0, name, f"flood-{i}") for name in names for i in range(per_model)
-        ])
-        run, stats = drive_gateway(
-            hosted(depth, concurrency_cap),
-            flood,
-            inputs,
-            frontdoor=frontdoor,
-            mode="open",
-            observe=lambda gateway: gateway.stats(),
-        )
-        check_accounting("saturation", run, stats)
-        results["saturation"] = {
-            "queue_depth_limit": depth,
-            "max_concurrency": concurrency_cap,
-            "offered": run.offered,
-            "admitted": run.offered - run.rejected,
-            "rejected": run.rejected,
-            "rejection_rate": run.rejection_rate,
-            "elapsed_s": run.elapsed_s,
-            "latency_ms": dict(stats.latencies_ms),
-        }
-    return results
 
 
 def serving_benchmark(

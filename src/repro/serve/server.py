@@ -29,8 +29,8 @@ Per-request latency (submit to result) lands in a bounded
 reservoir — flat memory under sustained load), and :meth:`Server.stats`
 reports throughput, batch counts and latency percentiles through
 :meth:`ServerStats.from_run`, the one stats constructor both backends share —
-the numbers ``python -m repro serve-bench`` and
-``benchmarks/bench_serving.py`` publish.
+the numbers ``Gateway.stats()`` and ``benchmarks/bench_serving.py``
+publish.
 
 Requests submitted with a live trace span (see :mod:`repro.obs.trace`) get
 ``replica.queue`` / ``replica.batch`` / ``replica.forward`` child spans,

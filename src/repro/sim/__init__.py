@@ -11,7 +11,7 @@ The package splits into three layers:
   :class:`~repro.serve.async_gateway.AsyncGateway` and reduce the
   outcomes to a :class:`~repro.sim.driver.DriveResult`, plus
   :func:`~repro.sim.driver.drive_gateway`, the one build/start/drive/close
-  lifecycle the matrix and ``repro.serve.bench`` share, and
+  lifecycle the matrix and ``benchmarks/bench_serving.py`` share, and
   :func:`~repro.sim.driver.check_accounting`, the exactly-once check both
   run after every replay.  These drivers are the repo's only load
   generator.

@@ -1,7 +1,7 @@
 """Replay a :class:`~repro.sim.workload.WorkloadTrace` against a gateway.
 
-This module is the repo's only load generator: the scenario matrix, the
-``gateway_benchmark`` harness and perfbench ``serve-closed`` all send
+This module is the repo's only load generator: the scenario matrix,
+``benchmarks/bench_serving.py`` and perfbench ``serve-closed`` all send
 their requests through these drivers.  Two client disciplines, each
 available for both front doors:
 
@@ -20,7 +20,7 @@ available for both front doors:
 :func:`drive_gateway` is the one gateway lifecycle around a replay:
 build the gateway for a front door, add the models, start, drive, close.
 :func:`check_accounting` holds a replay's outcomes against the gateway's
-own ``stats()``; the benchmark harness and every matrix cell run it.
+own ``stats()``; ``bench_serving.py`` and every matrix cell run it.
 
 Outcome taxonomy (disjoint; ``offered`` is their sum):
 

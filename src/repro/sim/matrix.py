@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -118,6 +119,11 @@ class MatrixConfig:
             raise ValidationError("matrix needs at least one model")
         if self.tenants < 1:
             raise ValidationError("matrix needs at least one tenant")
+        if self.clients < 1:
+            raise ValidationError("clients must be >= 1")
+        # 0 is legal: every arrival at t=0, the all-at-once flood.
+        if not math.isfinite(self.time_scale) or self.time_scale < 0:
+            raise ValidationError("time_scale must be a finite number >= 0")
         for value, name in ((self.replicas, "replicas"), (self.queue_depths, "queue_depths")):
             if not value or any(v < 1 for v in value):
                 raise ValidationError(f"{name} must be a non-empty list of positive ints")
@@ -296,9 +302,22 @@ def _cache_hit_rates(gateway: Any) -> Dict[str, Any]:
     return {"overall": overall, "per_model": per_model}
 
 
-def run_matrix(config: MatrixConfig, *, progress: Any = None) -> Dict[str, Any]:
-    """Run every cell of the grid; returns the raw matrix result dict."""
+def run_matrix(
+    config: MatrixConfig,
+    *,
+    progress: Any = None,
+    tracer: Any = None,
+    metrics_path: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Run every cell of the grid; returns the raw matrix result dict.
+
+    ``tracer`` is handed to every cell's gateway, so one span file covers
+    the grid.  With ``metrics_path`` each cell dumps its registry there
+    after its replay (:func:`~repro.serve.bench.dump_metrics`); the file
+    ends with the last cell's.
+    """
     from repro.obs.metrics import MetricsRegistry
+    from repro.serve.bench import dump_metrics
 
     config.validate()
     sources, inputs = _build_zoo(config)
@@ -306,6 +325,13 @@ def run_matrix(config: MatrixConfig, *, progress: Any = None) -> Dict[str, Any]:
     closed_options = {"clients": config.clients} if config.mode == "closed" else {}
     digests = {name: trace.digest() for name, trace in traces.items()}
     cells: List[Dict[str, Any]] = []
+
+    def observe(gateway: Any) -> Tuple[Any, Dict[str, Any]]:
+        observed = gateway.stats(), _cache_hit_rates(gateway)
+        if metrics_path is not None:
+            dump_metrics(metrics_path, gateway.registry)
+        return observed
+
     for scenario, policy, backend, frontdoor, replicas, queue_depth in itertools.product(
         config.scenarios,
         config.policies,
@@ -338,7 +364,8 @@ def run_matrix(config: MatrixConfig, *, progress: Any = None) -> Dict[str, Any]:
             frontdoor=frontdoor,
             mode=config.mode,
             metrics=MetricsRegistry(),
-            observe=lambda gateway: (gateway.stats(), _cache_hit_rates(gateway)),
+            tracer=tracer,
+            observe=observe,
             time_scale=config.time_scale,
             **closed_options,
         )

@@ -1,12 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main, parse_synthetic_spec, synthetic_sparse_layers
 from repro.store import ModelStore
 from repro.utils.errors import ValidationError
+
+BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 @pytest.fixture()
@@ -104,55 +107,6 @@ class TestCommands:
     def test_checksums_only_verify(self, archive_path, capsys):
         assert main(["verify", str(archive_path), "--checksums-only"]) == 0
         assert "crc ok" in capsys.readouterr().out
-
-    def test_gateway_bench_json(self, capsys):
-        code = main(
-            [
-                "gateway-bench",
-                "--models", "2",
-                "--synthetic", "fc6=48x80:0.1,fc7=32x48:0.2",
-                "--replicas", "1,2",
-                "--clients", "2",
-                "--requests", "8",
-                "--sparse", "mixed",
-                "--queue-depth", "2",
-                "--json",
-            ]
-        )
-        assert code == 0
-        sweep = json.loads(capsys.readouterr().out)
-        assert set(sweep) == {"1", "2"}
-        for result in sweep.values():
-            assert result["completed"] == 16
-            assert result["models"] == 2
-        # The saturation burst runs at the largest pool only, and a depth-2
-        # queue must shed most of an open-loop burst.
-        assert "saturation" not in sweep["1"]
-        assert sweep["2"]["saturation"]["rejected"] > 0
-
-    def test_gateway_bench_table(self, capsys):
-        code = main(
-            [
-                "gateway-bench",
-                "--models", "1",
-                "--synthetic", "fc6=48x80:0.1,fc7=32x48:0.2",
-                "--replicas", "1",
-                "--clients", "1",
-                "--requests", "4",
-                "--sparse", "all",
-                "--policy", "consistent-hash",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "gateway: 1 sparse model(s)" in out
-        assert "saturation @ queue depth" in out
-
-    def test_gateway_bench_validation(self, capsys):
-        assert main(["gateway-bench", "--models", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert main(["gateway-bench", "--replicas", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.dsz"
@@ -254,3 +208,47 @@ class TestScenarioBench:
     def test_rejects_unknown_policy(self, capsys):
         assert main(["scenario-bench", "--policy", "fastest"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_rejects_bad_input_before_encoding(self, monkeypatch, capsys):
+        import repro.sim.matrix as matrix
+
+        def no_zoo(config):
+            raise AssertionError("the zoo was encoded before validation")
+
+        monkeypatch.setattr(matrix, "_build_zoo", no_zoo)
+        for bad in (
+            ["--models", "0"],
+            ["--replicas", "0"],
+            ["--clients", "0"],
+            ["--time-scale", "-1"],
+            ["--trace-sample", "0.5"],  # no --trace-out to write the spans to
+        ):
+            assert main(["scenario-bench"] + bad) == 1, bad
+            assert "error:" in capsys.readouterr().err
+
+    def test_obs_flags_pass_the_obs_validator(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import validate_obs
+
+        trace, prom = tmp_path / "obs.jsonl", tmp_path / "obs.prom"
+        args = [
+            "scenario-bench",
+            "--scenario", "steady",
+            "--policy", "round-robin",
+            "--models", "1",
+            "--tenants", "2",
+            "--duration", "0.3",
+            "--rate", "40",
+            "--deadline-ms", "0",
+            "--synthetic", "fc6=24x32:0.2,fc7=12x24:0.2",
+            "--trace-sample", "1.0",
+            "--trace-out", str(trace),
+            "--metrics-out", str(prom),
+            "--out", str(tmp_path / "BENCH_scenarios.json"),
+            "--json",
+        ]
+        assert main(args) == 0
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert cell["completed"] == cell["offered"] > 0
+        validate_obs.check_metrics(prom, expect_cache=True, expect_process=False)
+        assert validate_obs.check_trace(trace, expect_process=False) == cell["offered"]

@@ -22,7 +22,6 @@ from repro.serve import (
     RoundRobinPolicy,
     resolve_policy,
 )
-from repro.serve.bench import gateway_benchmark
 from repro.store import ModelStore
 from repro.utils.errors import GatewayOverloaded, ValidationError
 
@@ -726,27 +725,3 @@ class TestStopRestart:
         with pytest.raises(ValidationError, match="not running"):
             gateway.submit("m", x)
         gateway.close()
-
-
-class TestGatewayBenchmarkHarness:
-    @pytest.mark.parametrize("frontdoor", ["sync", "async"])
-    def test_smoke_run_shape_and_saturation(self, archive_blob, frontdoor):
-        results = gateway_benchmark(
-            {"a": archive_blob, "b": archive_blob},
-            frontdoor=frontdoor,
-            replicas=2,
-            clients=2,
-            requests_per_client=8,
-            burst=4,
-            sparse={"b": True},
-            saturation_queue_depth=2,
-        )
-        assert results["completed"] == 16
-        assert results["failures"] == 0
-        assert results["throughput_rps"] > 0
-        assert set(results["per_model"]) == {"a", "b"}
-        assert set(results["latency_ms"]) <= {"p50", "p90", "p99"}
-        saturation = results["saturation"]
-        assert saturation["offered"] == saturation["admitted"] + saturation["rejected"]
-        assert saturation["rejected"] > 0
-        assert saturation["queue_depth_limit"] == 2

@@ -273,10 +273,3 @@ class TestMetricsCli:
     def test_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["metrics", str(tmp_path / "nope.prom")]) == 1
         capsys.readouterr()
-
-    def test_bench_trace_flags_validated(self):
-        from repro.serve.bench import gateway_benchmark
-        from repro.utils.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            gateway_benchmark({"m": b""}, trace_sample=0.5)  # no trace_path

@@ -60,10 +60,15 @@ class TestConfig:
             (dict(replicas=(0,)), "replicas"),
             (dict(mode="laps"), "laps"),
             (dict(models=0), "model"),
+            (dict(clients=0), "clients"),
+            (dict(time_scale=-1.0), "time_scale"),
+            (dict(time_scale=float("nan")), "time_scale"),
+            (dict(time_scale=float("inf")), "time_scale"),
             (dict(scenario_params={"nope": {}}), "nope"),
         ):
             with pytest.raises(ValidationError, match=match):
                 _tiny_config(**overrides).validate()
+        _tiny_config(time_scale=0.0).validate()  # the all-at-t=0 flood
 
     def test_cell_count(self):
         config = _tiny_config(scenarios=("steady", "burst"), replicas=(1, 2))
