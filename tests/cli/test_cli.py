@@ -108,6 +108,14 @@ class TestCommands:
         assert main(["verify", str(archive_path), "--checksums-only"]) == 0
         assert "crc ok" in capsys.readouterr().out
 
+    def test_gateway_bench_validation(self, capsys):
+        # scenario-bench is the gateway load benchmark; an empty zoo or pool
+        # is a usage error, not a crash.
+        assert main(["scenario-bench", "--models", "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert main(["scenario-bench", "--replicas", "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.dsz"
         assert main(["inspect", str(missing)]) == 1

@@ -273,3 +273,8 @@ class TestMetricsCli:
     def test_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["metrics", str(tmp_path / "nope.prom")]) == 1
         capsys.readouterr()
+
+    def test_bench_trace_flags_validated(self, capsys):
+        # Sampled spans need somewhere to go.
+        assert cli_main(["scenario-bench", "--trace-sample", "0.5"]) == 1
+        assert "--trace-out" in capsys.readouterr().err
