@@ -52,7 +52,7 @@ import numpy as np
 from repro.nn import Network, models, zoo
 from repro.nn.layers import Layer
 from repro.serve import Gateway, ModelRuntime, Server
-from repro.store import ModelArchive, ModelStore
+from repro.store import ModelArchive, ModelStore, archive_bytes
 from repro.utils.errors import GatewayOverloaded
 
 
@@ -79,7 +79,7 @@ def main() -> None:
         DeepSZConfig(expected_accuracy_loss=0.01, topk=(1, 5), assessment_samples=300)
     )
     result = deepsz.compress(pruned, test.images, test.labels)
-    archive_blob = result.model.to_archive_bytes()
+    archive_blob = archive_bytes(result.model)
 
     dense_bytes = result.original_fc_bytes
     print(f"fc-layer storage: dense {format_bytes(dense_bytes)} -> "

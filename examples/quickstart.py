@@ -21,6 +21,7 @@ from repro.core.decoder import DeepSZDecoder
 from repro.core.encoder import CompressedModel
 from repro.data import mnist_like, train_test_split
 from repro.nn import SGDConfig, SGDTrainer, models
+from repro.store import archive_bytes
 
 
 def main() -> None:
@@ -61,11 +62,11 @@ def main() -> None:
           f"(loss {result.top1_loss:.2%})")
 
     # --------------------------------------------------- ship, decode, serve
-    blob = result.model.to_bytes()
-    print(f"\nserialized compressed model: {format_bytes(len(blob))}")
+    blob = archive_bytes(result.model)
+    print(f"\n.dsz archive of the compressed model: {format_bytes(len(blob))}")
 
     edge_network = models.lenet_300_100(seed=999)  # fresh, untrained weights
-    DeepSZDecoder().apply(CompressedModel.from_bytes(blob), edge_network)
+    DeepSZDecoder().apply(CompressedModel.load(blob), edge_network)
     edge_accuracy = edge_network.accuracy(test.images, test.labels)
     print(f"decoded on the 'edge device': top-1 accuracy {edge_accuracy:.2%} "
           f"(decode time {result.decoding_timing.total * 1e3:.1f} ms)")

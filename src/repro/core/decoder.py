@@ -1,18 +1,22 @@
 """Decoding of a DeepSZ compressed model (the Figure 7b path).
 
-Decoding has three phases, and the decoder reports a wall-clock breakdown of
-each (this is the data behind the paper's Figure 7b):
+Every layer decodes in the same three steps, and the decoder reports a
+wall-clock breakdown of each across the model (this is the data behind the
+paper's Figure 7b):
 
-1. **lossless** — decompress the index arrays with their recorded back ends
+1. **lossless** — decompress the index array with its recorded back end
    (resolved through the codec registry);
-2. **sz** — decompress every data array with its recorded data codec;
-3. **csr** — rebuild weight matrices from (index, data) pairs: dense
-   float32 matrices by default, or matmul-ready
-   :class:`~repro.nn.sparse.SparseWeight` matrices on the ``sparse=True``
+2. **sz** — decompress the data array with its recorded data codec;
+3. **csr** — rebuild the weight matrix from the (index, data) pair: a dense
+   float32 matrix by default, or a matmul-ready
+   :class:`~repro.nn.sparse.SparseWeight` on the ``sparse=True``
    compressed-domain fast path (which never materialises the dense form).
 
-Layers are independent, so phase 2 fans out on a
-:class:`repro.parallel.pool.TaskPool` when the decoder is built with
+:func:`decode_compressed_layer` chains the three steps for one layer; it is
+the primitive behind the lazy :class:`repro.serve.ModelRuntime`.
+:class:`DeepSZDecoder` runs the same steps phase by phase over every layer,
+so each phase is timed as a whole.  Layers are independent, so phase 2 fans
+out on a :class:`repro.parallel.pool.TaskPool` when the decoder is built with
 ``workers > 1``; chunked v2 data payloads additionally decode their chunks
 concurrently.  ``workers=1`` reproduces the serial result exactly.
 
@@ -28,7 +32,7 @@ from typing import Dict
 import numpy as np
 
 from repro.codecs import Codec, get_codec
-from repro.core.encoder import CompressedModel
+from repro.core.encoder import CompressedLayer, CompressedModel
 from repro.obs import profile
 from repro.nn.network import Network
 from repro.nn.sparse import SparseWeight
@@ -41,7 +45,6 @@ __all__ = [
     "DecodedModel",
     "DeepSZDecoder",
     "decode_compressed_layer",
-    "decode_compressed_layer_sparse",
 ]
 
 
@@ -64,18 +67,6 @@ class DecodedModel:
         return self.timing.total
 
 
-def _decode_data_task(args) -> np.ndarray:
-    """Pool task: decompress one layer's data array.
-
-    The codec instance travels with the task (pickled by class reference)
-    instead of being re-resolved by name in the worker, so runtime-
-    registered codecs keep working under the spawn/forkserver start
-    methods, whose workers only know the built-in registry entries.
-    """
-    payload, codec, chunk_workers = args
-    return codec.decompress(payload, workers=chunk_workers)
-
-
 def _codec_for_layer(name: str, codec_name: str) -> Codec:
     """Resolve a layer's recorded codec, mapping unknown names to the decode
     error contract (corrupt/tampered blobs raise :class:`DecompressionError`,
@@ -88,63 +79,65 @@ def _codec_for_layer(name: str, codec_name: str) -> Codec:
         ) from exc
 
 
-def _decode_layer_arrays(layer) -> tuple[np.ndarray, np.ndarray]:
-    """Run the two codec passes of one layer: (index, data) arrays."""
+def _check_entries(layer: CompressedLayer, kind: str, array: np.ndarray) -> None:
+    if array.size != layer.entry_count:
+        raise DecompressionError(
+            f"{kind} array for {layer.name!r} has {array.size} entries, "
+            f"expected {layer.entry_count}"
+        )
+
+
+def _decode_index(layer: CompressedLayer) -> np.ndarray:
+    """Step 1: the lossless index array of one layer."""
     raw = _codec_for_layer(layer.name, layer.index_backend).decompress(
         layer.index_payload
     )
     index = np.frombuffer(raw, dtype=np.uint8)
-    if index.size != layer.entry_count:
-        raise DecompressionError(
-            f"index array for {layer.name!r} has {index.size} entries, "
-            f"expected {layer.entry_count}"
-        )
-    data = _codec_for_layer(layer.name, layer.data_codec).decompress(layer.sz_payload)
-    if data.size != layer.entry_count:
-        raise DecompressionError(
-            f"data array for {layer.name!r} has {data.size} entries, "
-            f"expected {layer.entry_count}"
-        )
-    return index, data
+    _check_entries(layer, "index", index)
+    return index
 
 
-def decode_compressed_layer(layer) -> np.ndarray:
-    """Decode one :class:`~repro.core.encoder.CompressedLayer` into its dense
-    weight matrix: lossless index decode, data codec decode, CSR rebuild.
+def _decode_data(args: tuple[CompressedLayer, Codec, int]) -> np.ndarray:
+    """Step 2 (and the pool task): the data array of one layer.
 
-    The single-layer primitive behind the lazy
-    :class:`repro.serve.ModelRuntime`.  :class:`DeepSZDecoder` below runs
-    the same steps but grouped into whole-model phases (for the Figure 7b
-    timing split and the pool fan-out), so the two implementations are
-    intentionally parallel; equality of their reconstructions is pinned by
-    ``tests/serve/test_runtime.py::test_layer_matches_full_decode``."""
-    index, data = _decode_layer_arrays(layer)
-    skeleton = SparseLayer(
-        data=np.zeros(layer.entry_count, dtype=np.float32),
-        index=index,
-        shape=layer.shape,
-        nnz=layer.nnz,
-    )
-    with profile.stage("build"):
-        return decode_sparse(skeleton, data=data)
+    The codec instance travels with the task (pickled by class reference)
+    instead of being re-resolved by name in the worker, so runtime-
+    registered codecs keep working under the spawn/forkserver start
+    methods, whose workers only know the built-in registry entries.
+    """
+    layer, codec, chunk_workers = args
+    data = codec.decompress(layer.sz_payload, workers=chunk_workers)
+    _check_entries(layer, "data", data)
+    return data
 
 
-def decode_compressed_layer_sparse(layer) -> SparseLayer:
-    """Decode one compressed layer but *stop at the two-array form*.
-
-    The sparse-inference fast path: the codec passes run exactly as in
-    :func:`decode_compressed_layer`, but the O(rows * cols) dense rebuild is
-    skipped — the returned :class:`SparseLayer` carries the SZ-decompressed
-    values in ``data`` and feeds straight into
-    :meth:`repro.nn.sparse.SparseWeight.from_sparse_layer` (an O(entries)
-    CSR/CSC build)."""
-    index, data = _decode_layer_arrays(layer)
-    return SparseLayer(
+def _build(
+    layer: CompressedLayer, index: np.ndarray, data: np.ndarray, sparse: bool
+) -> "np.ndarray | SparseWeight":
+    """Step 3: the dense matrix, or the CSC operand when ``sparse``."""
+    two_array = SparseLayer(
         data=np.asarray(data, dtype=np.float32),
         index=index,
         shape=layer.shape,
         nnz=layer.nnz,
     )
+    with profile.stage("build"):
+        if sparse:
+            return SparseWeight.from_sparse_layer(two_array)
+        return decode_sparse(two_array)
+
+
+def decode_compressed_layer(
+    layer: CompressedLayer, *, sparse: bool = False
+) -> "np.ndarray | SparseWeight":
+    """Decode one :class:`~repro.core.encoder.CompressedLayer`: lossless
+    index decode, data codec decode, then the dense rebuild — or, with
+    ``sparse=True``, the O(entries) CSC build of a
+    :class:`~repro.nn.sparse.SparseWeight` that skips the O(rows * cols)
+    dense matrix."""
+    index = _decode_index(layer)
+    data = _decode_data((layer, _codec_for_layer(layer.name, layer.data_codec), 1))
+    return _build(layer, index, data, sparse)
 
 
 class DeepSZDecoder:
@@ -191,59 +184,21 @@ class DeepSZDecoder:
         (O(rows * cols)), and the result's ``weights`` hold those.
         """
         model = self._materialise(model)
+        layers = list(model.layers.values())
         timing = TimingBreakdown()
-        index_arrays: Dict[str, np.ndarray] = {}
-
         with timing.phase("lossless"):
-            for name, layer in model.layers.items():
-                raw = _codec_for_layer(name, layer.index_backend).decompress(
-                    layer.index_payload
-                )
-                index = np.frombuffer(raw, dtype=np.uint8)
-                if index.size != layer.entry_count:
-                    raise DecompressionError(
-                        f"index array for {name!r} has {index.size} entries, "
-                        f"expected {layer.entry_count}"
-                    )
-                index_arrays[name] = index
-
+            indices = [_decode_index(layer) for layer in layers]
         with timing.phase("sz"):
-            names = list(model.layers)
             tasks = [
-                (
-                    model.layers[name].sz_payload,
-                    _codec_for_layer(name, model.layers[name].data_codec),
-                    self.workers,
-                )
-                for name in names
+                (layer, _codec_for_layer(layer.name, layer.data_codec), self.workers)
+                for layer in layers
             ]
-            decoded = TaskPool(self.workers).map(_decode_data_task, tasks)
-            data_arrays: Dict[str, np.ndarray] = {}
-            for name, data in zip(names, decoded):
-                layer = model.layers[name]
-                if data.size != layer.entry_count:
-                    raise DecompressionError(
-                        f"data array for {name!r} has {data.size} entries, "
-                        f"expected {layer.entry_count}"
-                    )
-                data_arrays[name] = data
-
-        weights: Dict[str, np.ndarray] = {}
+            data = TaskPool(self.workers).map(_decode_data, tasks)
         with timing.phase("csr"):
-            for name, layer in model.layers.items():
-                skeleton = SparseLayer(
-                    data=data_arrays[name] if sparse else np.zeros(
-                        layer.entry_count, dtype=np.float32
-                    ),
-                    index=index_arrays[name],
-                    shape=layer.shape,
-                    nnz=layer.nnz,
-                )
-                if sparse:
-                    weights[name] = SparseWeight.from_sparse_layer(skeleton)
-                else:
-                    weights[name] = decode_sparse(skeleton, data=data_arrays[name])
-
+            weights = {
+                name: _build(layer, index, values, sparse)
+                for name, layer, index, values in zip(model.layers, layers, indices, data)
+            }
         return DecodedModel(
             network=model.network, weights=weights, timing=timing, sparse=sparse
         )

@@ -3,11 +3,11 @@
 The encoder takes the pruned sparse layers and the per-layer error bounds
 chosen by the optimizer, compresses every data array with the selected
 error-bounded codec (SZ by default, resolved through the codec registry) and
-every index array with the best-fit lossless codec, and packs the result
-into one self-describing container (the "bitstream" of Figure 1).  The
-container also carries everything the decoder needs to rebuild dense weight
-matrices: layer shapes, entry counts, the data codec, and the lossless back
-end that won the selection.
+every index array with the best-fit lossless codec.  The result is saved
+as one self-describing ``.dsz`` archive (:mod:`repro.store.archive`; the
+"bitstream" of Figure 1) that also carries everything the decoder needs to
+rebuild dense weight matrices: layer shapes, entry counts, the data codec,
+and the lossless back end that won the selection.
 
 Layers are independent, so :meth:`DeepSZEncoder.encode` fans them out on a
 :class:`repro.parallel.pool.TaskPool` when ``workers > 1``; additionally the
@@ -19,7 +19,6 @@ produces byte-identical output.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Sequence, Union
@@ -29,13 +28,11 @@ import numpy as np
 from repro.codecs import best_fit_lossless, get_codec, resolve_error_bounded_codec
 from repro.parallel.pool import TaskPool
 from repro.pruning.sparse_format import SparseLayer
-from repro.utils.bytesio import read_named_sections, write_named_sections
-from repro.utils.errors import DecompressionError, ValidationError
+from repro.utils.errors import ValidationError
 from repro.utils.timing import TimingBreakdown
 
 __all__ = ["CompressedLayer", "CompressedModel", "DeepSZEncoder"]
 
-_MAGIC = "repro-deepsz-model-v1"
 _DEFAULT_DATA_CODEC = "sz"
 
 
@@ -97,85 +94,7 @@ class CompressedModel:
     def error_bounds(self) -> Dict[str, float]:
         return {name: layer.error_bound for name, layer in self.layers.items()}
 
-    # -- serialization -----------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialise the whole model to one byte string (the v1 monolithic
-        container; prefer :meth:`save` / the ``.dsz`` archive for random
-        access).  Payload CRC32s ride in the layer metadata so
-        :meth:`from_bytes` detects corruption per layer."""
-        sections: Dict[str, bytes] = {}
-        layer_meta = {}
-        for name, layer in self.layers.items():
-            sections[f"{name}/sz"] = layer.sz_payload
-            sections[f"{name}/index"] = layer.index_payload
-            layer_meta[name] = {
-                "error_bound": layer.error_bound,
-                "shape": list(layer.shape),
-                "nnz": layer.nnz,
-                "entry_count": layer.entry_count,
-                "index_backend": layer.index_backend,
-                "data_codec": layer.data_codec,
-                "crc32": {
-                    "sz": zlib.crc32(layer.sz_payload),
-                    "index": zlib.crc32(layer.index_payload),
-                },
-            }
-        meta = {
-            "magic": _MAGIC,
-            "network": self.network,
-            "expected_accuracy_loss": self.expected_accuracy_loss,
-            "layers": layer_meta,
-        }
-        return write_named_sections(sections, meta=meta)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CompressedModel":
-        """Rebuild a :class:`CompressedModel` from :meth:`to_bytes` output.
-
-        Model blobs written before the codec registry existed carry no
-        ``data_codec`` field; they default to ``"sz"``, the only data codec
-        of that era, so old containers stay decodable.
-        """
-        meta, sections = read_named_sections(blob)
-        if meta.get("magic") != _MAGIC:
-            raise DecompressionError("not a DeepSZ compressed model (bad magic)")
-        layers: Dict[str, CompressedLayer] = {}
-        for name, info in meta["layers"].items():
-            # Payload integrity: blobs written after PR 2 carry per-payload
-            # CRC32s, so a flipped bit fails here with the layer named
-            # instead of as an opaque codec error deep in the decode.
-            for kind, crc in info.get("crc32", {}).items():
-                payload = sections.get(f"{name}/{kind}", b"")
-                if zlib.crc32(payload) != int(crc):
-                    raise DecompressionError(
-                        f"layer {name!r} {kind} payload failed CRC32 "
-                        "integrity verification (blob corrupted?)"
-                    )
-            layers[name] = CompressedLayer(
-                name=name,
-                error_bound=float(info["error_bound"]),
-                shape=tuple(info["shape"]),  # type: ignore[arg-type]
-                nnz=int(info["nnz"]),
-                entry_count=int(info["entry_count"]),
-                sz_payload=sections[f"{name}/sz"],
-                index_payload=sections[f"{name}/index"],
-                index_backend=str(info["index_backend"]),
-                data_codec=str(info.get("data_codec", _DEFAULT_DATA_CODEC)),
-            )
-        return cls(
-            network=str(meta["network"]),
-            layers=layers,
-            expected_accuracy_loss=float(meta["expected_accuracy_loss"]),
-        )
-
-    # -- archive path (the random-access .dsz v2 container) ----------------
-    def to_archive_bytes(self) -> bytes:
-        """Serialise as a random-access ``.dsz`` archive (footer-indexed
-        manifest, per-layer segments with CRC32s; see :mod:`repro.store`)."""
-        from repro.store.archive import archive_bytes
-
-        return archive_bytes(self)
-
+    # -- serialization: the random-access .dsz archive (see repro.store) ----
     def save(self, path: Union[str, Path]) -> int:
         """Write a ``.dsz`` archive to ``path``; returns bytes written."""
         from repro.store.archive import write_archive
@@ -296,16 +215,6 @@ class DeepSZEncoder:
             "chunk_size": self.chunk_size,
             "chunk_workers": self.workers,
         }
-
-    def encode_layer(
-        self, name: str, sparse_layer: SparseLayer, error_bound: float
-    ) -> CompressedLayer:
-        """Compress one layer: the data codec on the data array, best-fit
-        lossless on the index."""
-        layer, _ = _encode_layer_task(
-            (name, sparse_layer, error_bound, self._codec_params(), None)
-        )
-        return layer
 
     def encode(
         self,

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
-import numpy as np  # noqa: F401 - np.ndarray in docs/annotations
+import numpy as np
 
-from repro.core.decoder import decode_compressed_layer, decode_compressed_layer_sparse
+from repro.core.decoder import decode_compressed_layer
 from repro.lint.lockcheck import make_lock
 from repro.core.encoder import CompressedModel
 from repro.nn.sparse import SparseWeight
@@ -198,18 +198,9 @@ class ModelRuntime:
         start = time.perf_counter()
         with profile.stage_sink() as stages:
             compressed = self._archive.read_layer(name, verify=self._verify)
-            if self._sparse:
-                # Compressed-domain fast path: stop at the two-array form and
-                # build the CSC kernel operand; the entry is charged its true
-                # data + indices + indptr footprint, not the dense nbytes.
-                sparse_layer = decode_compressed_layer_sparse(compressed)
-                with profile.stage("build"):
-                    value = SparseWeight.from_sparse_layer(sparse_layer)
-                size = value.nbytes
-            else:
-                dense = decode_compressed_layer(compressed)
-                dense.flags.writeable = False
-                value, size = dense, int(dense.nbytes)
+            value = decode_compressed_layer(compressed, sparse=self._sparse)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # a SparseWeight freezes its own arrays
         elapsed = time.perf_counter() - start
         with self._stats_lock:
             self._decodes += 1
@@ -221,7 +212,8 @@ class ModelRuntime:
                 self._stage_seconds[stage_name] = (
                     self._stage_seconds.get(stage_name, 0.0) + seconds
                 )
-        return value, size
+        # A SparseWeight's nbytes is its CSC footprint, not the dense size.
+        return value, int(value.nbytes)
 
     def prefetch(
         self, names: Optional[Iterable[str]] = None, *, workers: Optional[int] = None

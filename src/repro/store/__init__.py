@@ -5,8 +5,8 @@ Two pieces sit between the codec core and the serving runtime:
 * :mod:`repro.store.archive` — the footer-indexed ``.dsz`` archive format
   (v2).  Per-layer segments with offsets and CRC32s in a manifest found
   from the file footer, so any layer is readable lazily without decoding
-  siblings; v1 monolithic ``CompressedModel.to_bytes`` blobs load through
-  a compat reader that synthesises the same manifest.
+  siblings; v1 monolithic model blobs load through a compat reader that
+  synthesises the same manifest.
 * :mod:`repro.store.cas` — :class:`ModelStore`, a SHA-256 content-addressed
   on-disk store of archives with dedup, integrity verification on read,
   and an optional LRU byte budget.

@@ -1,10 +1,10 @@
 """The random-access ``.dsz`` model archive (format v2).
 
-PR 1 left :meth:`repro.core.encoder.CompressedModel.to_bytes` as a monolithic
-blob: the JSON header sits at the front, every layer's payload follows, and a
-reader must slurp the whole container before it can touch a single layer.
-The archive format here is the random-access replacement — the storage layer
-under the :mod:`repro.serve` runtime:
+The first model container (v1) was a monolithic blob: the JSON header sits
+at the front, every layer's payload follows, and a reader must slurp the
+whole container before it can touch a single layer.  The archive format here
+is the random-access replacement, the only model format still written, and
+the storage layer under the :mod:`repro.serve` runtime:
 
 ```
 offset 0        8-byte magic  b"DSZARC2\\n"
@@ -23,13 +23,12 @@ checking, or decoding any sibling layer.  Every segment carries a CRC32 so
 lazy reads still detect corruption, and the manifest itself is checksummed
 so a damaged index never silently mis-addresses segments.
 
-v1 monolithic blobs (``CompressedModel.to_bytes``) remain readable through
-the compat path: their named-section header *is* a segment index (name +
-length in order), so :class:`ModelArchive` synthesises a manifest with
-computed offsets and serves lazy per-layer reads from v1 blobs too.  v1
-blobs written after PR 2 carry per-payload CRC32s in their layer metadata,
-which the compat reader picks up; older blobs simply skip checksum
-verification.
+v1 monolithic blobs remain readable through the compat path, the only v1
+reader: their named-section header *is* a segment index (name + length in
+order), so :class:`ModelArchive` synthesises a manifest with computed
+offsets and serves lazy per-layer reads from v1 blobs too.  Later v1 blobs
+carry per-payload CRC32s in their layer metadata, which the compat reader
+picks up; the earliest ones simply skip checksum verification.
 """
 
 from __future__ import annotations
@@ -371,7 +370,7 @@ class ModelArchive:
 
     Use :meth:`open` for files (memory-mapped when possible) and
     :meth:`from_bytes` for in-memory blobs; both accept v1 monolithic
-    ``CompressedModel.to_bytes`` output via the compat manifest synthesiser.
+    model blobs via the compat manifest synthesiser.
     Instances are context managers; reads are thread-safe.
     """
 
@@ -468,7 +467,7 @@ class ModelArchive:
 
     @staticmethod
     def _read_v1_manifest(source) -> ArchiveManifest:
-        """Synthesise a manifest from a v1 ``to_bytes`` blob.
+        """Synthesise a manifest from a v1 monolithic model blob.
 
         The v1 named-section header records ``[name, length]`` pairs in
         on-disk order, which is exactly a segment index once the cumulative

@@ -5,8 +5,8 @@ This package contains the pieces that every other subsystem leans on:
 * :mod:`repro.utils.errors` -- the exception hierarchy.
 * :mod:`repro.utils.bitstream` -- vectorised bit-level writer/reader used by
   the Huffman codec and the ZFP-style bit-plane coder.
-* :mod:`repro.utils.bytesio` -- framed binary container helpers (length
-  prefixed blobs, tagged sections) used by every on-disk format in the repo.
+* :mod:`repro.utils.bytesio` -- the named-section binary container behind
+  the codec payloads and network state dicts.
 * :mod:`repro.utils.timing` -- lightweight wall-clock timers used by the
   benchmark harness and the Figure 7 breakdowns.
 * :mod:`repro.utils.rng` -- deterministic random number helpers.
@@ -23,12 +23,7 @@ from repro.utils.errors import (
     ValidationError,
 )
 from repro.utils.bitstream import BitWriter, BitReader, pack_bits, unpack_bits
-from repro.utils.bytesio import (
-    write_frame,
-    read_frame,
-    write_named_sections,
-    read_named_sections,
-)
+from repro.utils.bytesio import write_named_sections, read_named_sections
 from repro.utils.timing import Timer, TimingBreakdown
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.validation import (
@@ -51,8 +46,6 @@ __all__ = [
     "BitReader",
     "pack_bits",
     "unpack_bits",
-    "write_frame",
-    "read_frame",
     "write_named_sections",
     "read_named_sections",
     "Timer",

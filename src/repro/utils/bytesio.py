@@ -1,14 +1,10 @@
-"""Framed binary container helpers.
+"""Named-section binary containers.
 
-Every serialised artifact in this repository (SZ streams, ZFP streams,
-compressed-model containers, pruned-layer codecs) is built from the same two
-primitives:
-
-* a *frame*: a 4-byte little-endian length prefix followed by that many bytes;
-* a *named section table*: a frame holding a UTF-8 JSON header that maps
-  section names to lengths, followed by the section payloads in order.
-
-Keeping the framing in one place means every format gets consistent
+SZ and ZFP streams, Huffman payloads, network state dicts and the baseline
+codecs all serialise through one layout: an 8-byte little-endian length
+(``<Q``), a UTF-8 JSON header of that many bytes holding the metadata dict
+and the ``[name, length]`` of every section, then the section payloads in
+order.  Keeping the layout in one place means every format gets consistent
 truncation / corruption detection for free.
 """
 
@@ -21,38 +17,9 @@ from typing import Mapping
 
 from repro.utils.errors import DecompressionError, ValidationError
 
-__all__ = [
-    "write_frame",
-    "read_frame",
-    "write_named_sections",
-    "read_named_sections",
-]
+__all__ = ["write_named_sections", "read_named_sections"]
 
 _LEN = struct.Struct("<Q")
-
-
-def write_frame(stream: io.BufferedIOBase, payload: bytes) -> int:
-    """Write a length-prefixed frame; returns the number of bytes written."""
-    if not isinstance(payload, (bytes, bytearray, memoryview)):
-        raise ValidationError("frame payload must be bytes-like")
-    header = _LEN.pack(len(payload))
-    stream.write(header)
-    stream.write(payload)
-    return len(header) + len(payload)
-
-
-def read_frame(stream: io.BufferedIOBase) -> bytes:
-    """Read a frame written by :func:`write_frame`."""
-    header = stream.read(_LEN.size)
-    if len(header) != _LEN.size:
-        raise DecompressionError("truncated frame header")
-    (length,) = _LEN.unpack(header)
-    payload = stream.read(length)
-    if len(payload) != length:
-        raise DecompressionError(
-            f"truncated frame payload: expected {length} bytes, got {len(payload)}"
-        )
-    return payload
 
 
 def write_named_sections(sections: Mapping[str, bytes], *, meta: dict | None = None) -> bytes:
@@ -64,18 +31,24 @@ def write_named_sections(sections: Mapping[str, bytes], *, meta: dict | None = N
         "meta": meta or {},
         "sections": [[name, len(blob)] for name, blob in sections.items()],
     }
-    buf = io.BytesIO()
-    write_frame(buf, json.dumps(header, sort_keys=True).encode("utf-8"))
-    for _, blob in sections.items():
-        buf.write(bytes(blob))
-    return buf.getvalue()
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    return b"".join([_LEN.pack(len(encoded)), encoded, *map(bytes, sections.values())])
 
 
 def read_named_sections(data: bytes) -> tuple[dict, dict[str, bytes]]:
     """Inverse of :func:`write_named_sections`; returns ``(meta, sections)``."""
     buf = io.BytesIO(data)
+    prefix = buf.read(_LEN.size)
+    if len(prefix) != _LEN.size:
+        raise DecompressionError("truncated section header")
+    (length,) = _LEN.unpack(prefix)
+    raw = buf.read(length)
+    if len(raw) != length:
+        raise DecompressionError(
+            f"truncated section header: expected {length} bytes, got {len(raw)}"
+        )
     try:
-        header = json.loads(read_frame(buf).decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecompressionError(f"corrupt section header: {exc}") from exc
     sections: dict[str, bytes] = {}

@@ -7,6 +7,8 @@ are built once per session and shared; tests that mutate a network must use
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ def small_compressed_model():
     return DeepSZEncoder().encode(
         "store-net", layers, {name: 1e-3 for name in layers}
     )
+
+
+@pytest.fixture(scope="session")
+def v1_crc_blob() -> bytes:
+    """``small_compressed_model`` as a v1 monolithic model blob with
+    per-payload CRC32s (``tests/golden/golden_model_v1_crc.bin``, kept
+    because nothing writes v1 blobs any more)."""
+    return (Path(__file__).resolve().parent / "golden" / "golden_model_v1_crc.bin").read_bytes()
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,18 @@
 """Tests for the compressed-model encoder/decoder (Step 4)."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.decoder import DeepSZDecoder
 from repro.core.encoder import CompressedModel, DeepSZEncoder
 from repro.pruning import decode_sparse, encode_sparse, prune_weights
+from repro.store import archive_bytes
 from repro.utils.errors import DecompressionError, ValidationError
+
+GOLDEN_V1 = Path(__file__).resolve().parent.parent / "golden" / "golden_model_v1.bin"
 
 
 @pytest.fixture()
@@ -61,8 +67,7 @@ class TestEncoder:
 class TestModelSerialization:
     def test_to_from_bytes_roundtrip(self, sparse_layers, error_bounds):
         model = DeepSZEncoder().encode("net", sparse_layers, error_bounds, expected_accuracy_loss=0.004)
-        blob = model.to_bytes()
-        restored = CompressedModel.from_bytes(blob)
+        restored = CompressedModel.load(archive_bytes(model))
         assert restored.network == "net"
         assert restored.expected_accuracy_loss == pytest.approx(0.004)
         assert set(restored.layers) == set(model.layers)
@@ -72,11 +77,11 @@ class TestModelSerialization:
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(DecompressionError):
-            CompressedModel.from_bytes(b"not a model")
+            CompressedModel.load(b"not a model")
 
     def test_decoded_weights_identical_after_serialization(self, sparse_layers, error_bounds):
         model = DeepSZEncoder().encode("net", sparse_layers, error_bounds)
-        restored = CompressedModel.from_bytes(model.to_bytes())
+        restored = CompressedModel.load(archive_bytes(model))
         d1 = DeepSZDecoder().decode(model)
         d2 = DeepSZDecoder().decode(restored)
         for name in d1.weights:
@@ -122,8 +127,7 @@ class TestCodecRegistryIntegration:
     def test_layer_records_data_codec(self, sparse_layers, error_bounds):
         model = DeepSZEncoder().encode("x", sparse_layers, error_bounds)
         assert all(layer.data_codec == "sz" for layer in model.layers.values())
-        blob = model.to_bytes()
-        restored = CompressedModel.from_bytes(blob)
+        restored = CompressedModel.load(archive_bytes(model))
         assert all(layer.data_codec == "sz" for layer in restored.layers.values())
 
     def test_zfp_data_codec_round_trip(self, sparse_layers, error_bounds):
@@ -193,12 +197,7 @@ class TestGoldenModelBlob:
     """A compressed-model blob from the pre-registry era still decodes."""
 
     def test_golden_model_decodes_bit_exactly(self):
-        from pathlib import Path
-
-        blob = (
-            Path(__file__).resolve().parent.parent / "golden" / "golden_model_v1.bin"
-        ).read_bytes()
-        model = CompressedModel.from_bytes(blob)
+        model = CompressedModel.load(GOLDEN_V1.read_bytes())
         assert model.network == "golden-net"
         layer = model.layers["fc1"]
         assert layer.data_codec == "sz"  # defaulted for pre-registry blobs
@@ -216,36 +215,27 @@ class TestGoldenModelBlob:
 
 
 class TestV1PayloadChecksums:
-    """Blobs carry per-payload CRC32s: corruption fails with the layer named."""
+    """v1 blobs carry per-payload CRC32s: corruption fails with the layer named."""
 
-    def test_corrupted_sz_payload_names_layer(self, sparse_layers, error_bounds):
-        model = DeepSZEncoder().encode("x", sparse_layers, error_bounds)
-        blob = bytearray(model.to_bytes())
+    def test_corrupted_sz_payload_names_layer(self, v1_crc_blob):
+        blob = bytearray(v1_crc_blob)
         # Flip a byte inside fc6's sz payload: the sections follow the JSON
         # header in insertion order, so fc6/sz is the first payload.
         header_len = int.from_bytes(blob[:8], "little")
         blob[8 + header_len + 4] ^= 0xFF
-        with pytest.raises(DecompressionError, match="'fc6' sz payload"):
-            CompressedModel.from_bytes(bytes(blob))
+        with pytest.raises(DecompressionError, match="'fc6' sz segment"):
+            CompressedModel.load(bytes(blob))
 
-    def test_truncated_blob_is_a_clean_decompression_error(
-        self, sparse_layers, error_bounds
-    ):
-        model = DeepSZEncoder().encode("x", sparse_layers, error_bounds)
-        blob = model.to_bytes()
+    def test_truncated_blob_is_a_clean_decompression_error(self, v1_crc_blob):
         with pytest.raises(DecompressionError):
-            CompressedModel.from_bytes(blob[: len(blob) - len(blob) // 4])
+            CompressedModel.load(v1_crc_blob[: len(v1_crc_blob) - len(v1_crc_blob) // 4])
 
     def test_pre_checksum_blobs_still_load(self):
-        """The golden pre-PR2 blob has no crc32 metadata and must load."""
-        from pathlib import Path
-
-        blob = (
-            Path(__file__).resolve().parent.parent / "golden" / "golden_model_v1.bin"
-        ).read_bytes()
+        """The golden pre-checksum blob has no crc32 metadata and must load."""
+        blob = GOLDEN_V1.read_bytes()
         header_len = int.from_bytes(blob[:8], "little")
         assert b"crc32" not in blob[8 : 8 + header_len]  # really pre-checksum
-        model = CompressedModel.from_bytes(blob)
+        model = CompressedModel.load(blob)
         assert model.network == "golden-net"
 
 
@@ -254,14 +244,11 @@ class TestDecodeErrorContract:
         self, sparse_layers, error_bounds
     ):
         model = DeepSZEncoder().encode("x", sparse_layers, error_bounds)
-        meta_blob = model.to_bytes()
-        # Tamper with the recorded codec name, as bit rot or a foreign
-        # encoder would: decode must fail with the decode error type.
-        tampered = meta_blob.replace(b'"data_codec": "sz"', b'"data_codec": "xx"')
-        assert tampered != meta_blob
-        bad_model = CompressedModel.from_bytes(tampered)
+        # A foreign or bit-rotted codec name must fail with the decode
+        # error type, not a configuration error.
+        model.layers["fc7"] = dataclasses.replace(model.layers["fc7"], data_codec="xx")
         with pytest.raises(DecompressionError, match="unknown codec"):
-            DeepSZDecoder().decode(bad_model)
+            DeepSZDecoder().decode(model)
 
 
 class TestChunkSizeValidation:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DeepSZ, DeepSZConfig
 from repro.core.encoder import CompressedModel
+from repro.store import archive_bytes
 from repro.utils.errors import ValidationError
 
 
@@ -80,8 +81,8 @@ class TestExpectedAccuracyPipeline:
         assert checked >= 1
 
     def test_model_serializable(self, pipeline_result):
-        blob = pipeline_result.model.to_bytes()
-        assert CompressedModel.from_bytes(blob).network == pipeline_result.network
+        blob = archive_bytes(pipeline_result.model)
+        assert CompressedModel.load(blob).network == pipeline_result.network
 
     def test_decoding_timing_phases(self, pipeline_result):
         assert set(pipeline_result.decoding_timing.phases) == {"lossless", "sz", "csr"}

@@ -14,6 +14,7 @@ from repro.core.decoder import DeepSZDecoder
 from repro.core.encoder import CompressedModel
 from repro.nn import models
 from repro.nn.serialize import network_to_bytes
+from repro.store import archive_bytes
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +28,11 @@ class TestCompressedModelServesInference:
     def test_decode_into_fresh_network_and_predict(self, deepsz_result, small_dataset):
         """A user ships the container, rebuilds the net elsewhere, and runs inference."""
         _, test = small_dataset
-        blob = deepsz_result.model.to_bytes()
+        blob = archive_bytes(deepsz_result.model)
 
         # "Edge device": fresh architecture, weights only from the container.
         edge_net = models.lenet_300_100(seed=999)
-        model = CompressedModel.from_bytes(blob)
+        model = CompressedModel.load(blob)
         DeepSZDecoder().apply(model, edge_net)
         # Conv-free LeNet-300-100 has every parameter in fc-layers, so the
         # decoded network must essentially match the compressed accuracy.
@@ -39,7 +40,7 @@ class TestCompressedModelServesInference:
         assert acc >= deepsz_result.compressed_accuracy[1] - 0.05
 
     def test_container_smaller_than_dense_and_csr(self, deepsz_result, pruned_lenet300):
-        blob = deepsz_result.model.to_bytes()
+        blob = archive_bytes(deepsz_result.model)
         assert len(blob) < pruned_lenet300.packed_fc_bytes
         assert len(blob) < pruned_lenet300.dense_fc_bytes
         # The serialized container is close to the sum of per-layer streams.

@@ -295,11 +295,14 @@ class TestDeadlines:
 class TestCancellation:
     def test_cancel_before_first_step_releases_admission(self, archive_blob):
         """Regression: a task cancelled before its coroutine ever runs must
-        still decrement the queue gauge and count as cancelled."""
+        still decrement the queue gauge and count as cancelled.
+
+        The replica blocks until released, so it cannot settle the request
+        before the cancel lands; a replica that answered first would count
+        the request completed while the caller still saw the cancel."""
 
         async def main():
-            gateway = AsyncGateway(replica_backend="thread", metrics=MetricsRegistry())
-            gateway.add_model("m", archive_blob, replicas=1, max_queue_depth=1)
+            gateway, networks = _blocking_gateway(archive_blob, max_queue_depth=1)
             x = np.ones(_INPUT_DIM, dtype=np.float32)
             async with gateway:
                 task = asyncio.ensure_future(gateway.submit("m", x))
@@ -308,6 +311,9 @@ class TestCancellation:
                 with pytest.raises(asyncio.CancelledError):
                     await task
                 assert gateway._model("m").queued == 0
+                # The abandoned request holds the only service slot until its
+                # (discarded) answer comes back.
+                networks[0].release.set()
                 # The depth-1 queue accepts new work — nothing leaked.
                 y = await gateway.submit("m", x)
                 assert y.shape == (_OUTPUT_DIM,)

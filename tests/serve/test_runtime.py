@@ -22,10 +22,19 @@ def reference_weights(small_compressed_model):
 
 
 class TestOnDemandDecode:
-    def test_layer_matches_full_decode(self, blob, reference_weights):
-        with ModelRuntime(blob) as runtime:
-            for name, expected in reference_weights.items():
-                np.testing.assert_array_equal(runtime.layer(name), expected)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_layer_matches_full_decode(self, blob, sparse):
+        reference = DeepSZDecoder().decode(blob, sparse=sparse).weights
+        with ModelRuntime(blob, sparse=sparse) as runtime:
+            for name, expected in reference.items():
+                got = runtime.layer(name)
+                if sparse:
+                    for part in ("data", "indices", "indptr"):
+                        np.testing.assert_array_equal(
+                            getattr(got.matrix, part), getattr(expected.matrix, part)
+                        )
+                else:
+                    np.testing.assert_array_equal(got, expected)
 
     def test_lazy_decoding_touches_only_requested_layer(self, blob, reference_weights):
         with ModelRuntime(blob) as runtime:
@@ -67,8 +76,8 @@ class TestOnDemandDecode:
         with pytest.raises(ValidationError):
             ModelRuntime(12345)
 
-    def test_v1_blob_source(self, small_compressed_model, reference_weights):
-        with ModelRuntime(small_compressed_model.to_bytes()) as runtime:
+    def test_v1_blob_source(self, v1_crc_blob, reference_weights):
+        with ModelRuntime(v1_crc_blob) as runtime:
             assert runtime.archive.version == 1
             np.testing.assert_array_equal(
                 runtime.layer("fc6"), reference_weights["fc6"]

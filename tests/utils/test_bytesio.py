@@ -1,49 +1,9 @@
-"""Tests for repro.utils.bytesio (framing and named sections)."""
-
-import io
+"""Tests for repro.utils.bytesio (named sections)."""
 
 import pytest
 
-from repro.utils import read_frame, read_named_sections, write_frame, write_named_sections
+from repro.utils import read_named_sections, write_named_sections
 from repro.utils.errors import DecompressionError, ValidationError
-
-
-class TestFrames:
-    def test_roundtrip(self):
-        buf = io.BytesIO()
-        n = write_frame(buf, b"hello")
-        assert n == 8 + 5
-        buf.seek(0)
-        assert read_frame(buf) == b"hello"
-
-    def test_empty_payload(self):
-        buf = io.BytesIO()
-        write_frame(buf, b"")
-        buf.seek(0)
-        assert read_frame(buf) == b""
-
-    def test_multiple_frames_sequential(self):
-        buf = io.BytesIO()
-        write_frame(buf, b"one")
-        write_frame(buf, b"two")
-        buf.seek(0)
-        assert read_frame(buf) == b"one"
-        assert read_frame(buf) == b"two"
-
-    def test_truncated_header_raises(self):
-        with pytest.raises(DecompressionError):
-            read_frame(io.BytesIO(b"\x01\x00"))
-
-    def test_truncated_payload_raises(self):
-        buf = io.BytesIO()
-        write_frame(buf, b"abcdef")
-        data = buf.getvalue()[:-2]
-        with pytest.raises(DecompressionError):
-            read_frame(io.BytesIO(data))
-
-    def test_non_bytes_payload_raises(self):
-        with pytest.raises(ValidationError):
-            write_frame(io.BytesIO(), "not-bytes")  # type: ignore[arg-type]
 
 
 class TestNamedSections:
@@ -74,6 +34,12 @@ class TestNamedSections:
         blob = write_named_sections({"a": b"0123456789"})
         with pytest.raises(DecompressionError):
             read_named_sections(blob[:-4])
+
+    def test_truncated_header_raises(self):
+        blob = write_named_sections({"a": b"abc"})
+        for cut in (3, 12):  # inside the length prefix, inside the JSON header
+            with pytest.raises(DecompressionError, match="truncated section header"):
+                read_named_sections(blob[:cut])
 
     def test_corrupt_header_raises(self):
         blob = write_named_sections({"a": b"abc"})
