@@ -25,6 +25,13 @@ Compress Deep Neural Networks by Using Error-Bounded Lossy Compression*
   :class:`~repro.serve.Server`);
 * :mod:`repro.analysis` — metrics and table/figure renderers.
 
+Importing :mod:`repro` loads none of these.  It, :mod:`repro.core`,
+:mod:`repro.nn`, :mod:`repro.pruning` and :mod:`repro.serve` re-export
+their public names lazily (:mod:`repro._lazy`): a submodule is imported
+when a name from it is first read, so a process pays only for what it
+runs.  A serving worker never loads the assessment engine, training, the
+asyncio front door or, for a dense model, SciPy.
+
 Quickstart
 ----------
 >>> from repro.core import DeepSZ, DeepSZConfig
@@ -33,41 +40,29 @@ Quickstart
 >>> # see examples/quickstart.py for the full pruning + compression flow
 """
 
-from repro import (
-    analysis,
-    baselines,
-    codecs,
-    core,
-    data,
-    nn,
-    parallel,
-    pruning,
-    serve,
-    store,
-    sz,
-    utils,
-    zfp,
-)
-from repro.core import DeepSZ, DeepSZConfig, DeepSZResult
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "analysis",
-    "baselines",
-    "codecs",
-    "core",
-    "data",
-    "nn",
-    "parallel",
-    "pruning",
-    "serve",
-    "store",
-    "sz",
-    "utils",
-    "zfp",
-    "DeepSZ",
-    "DeepSZConfig",
-    "DeepSZResult",
-    "__version__",
-]
+#: Exported name -> defining module, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "analysis": ".analysis",
+    "baselines": ".baselines",
+    "codecs": ".codecs",
+    "core": ".core",
+    "data": ".data",
+    "nn": ".nn",
+    "parallel": ".parallel",
+    "pruning": ".pruning",
+    "serve": ".serve",
+    "store": ".store",
+    "sz": ".sz",
+    "utils": ".utils",
+    "zfp": ".zfp",
+    "DeepSZ": ".core.pipeline",
+    "DeepSZConfig": ".core.pipeline",
+    "DeepSZResult": ".core.pipeline",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,56 +25,36 @@ The framework has four steps (Figure 1):
 steps behind one call.
 """
 
-from repro.core.assessment import (
-    AssessmentConfig,
-    AssessmentPoint,
-    LayerAssessment,
-    AssessmentResult,
-    assess_layer,
-    assess_network,
-    bound_key,
-    evaluate_candidate,
-)
-from repro.core.assess_parallel import AssessmentEngine, EngineStats
-from repro.core.accuracy_model import (
-    predict_total_loss,
-    linearity_probe,
-    LinearityProbeResult,
-)
-from repro.core.optimizer import (
-    OptimizerConfig,
-    OptimizationPlan,
-    optimize_error_bounds,
-    optimize_for_size_budget,
-)
-from repro.core.encoder import CompressedLayer, CompressedModel, DeepSZEncoder
-from repro.core.decoder import DeepSZDecoder, DecodedModel
-from repro.core.pipeline import DeepSZ, DeepSZConfig, DeepSZResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssessmentConfig",
-    "AssessmentPoint",
-    "LayerAssessment",
-    "AssessmentResult",
-    "AssessmentEngine",
-    "EngineStats",
-    "assess_layer",
-    "assess_network",
-    "bound_key",
-    "evaluate_candidate",
-    "predict_total_loss",
-    "linearity_probe",
-    "LinearityProbeResult",
-    "OptimizerConfig",
-    "OptimizationPlan",
-    "optimize_error_bounds",
-    "optimize_for_size_budget",
-    "CompressedLayer",
-    "CompressedModel",
-    "DeepSZEncoder",
-    "DeepSZDecoder",
-    "DecodedModel",
-    "DeepSZ",
-    "DeepSZConfig",
-    "DeepSZResult",
-]
+#: Exported name -> defining module, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "AssessmentConfig": ".assessment",
+    "AssessmentPoint": ".assessment",
+    "LayerAssessment": ".assessment",
+    "AssessmentResult": ".assessment",
+    "AssessmentEngine": ".assess_parallel",
+    "EngineStats": ".assess_parallel",
+    "assess_layer": ".assessment",
+    "assess_network": ".assessment",
+    "bound_key": ".assessment",
+    "evaluate_candidate": ".assessment",
+    "predict_total_loss": ".accuracy_model",
+    "linearity_probe": ".accuracy_model",
+    "LinearityProbeResult": ".accuracy_model",
+    "OptimizerConfig": ".optimizer",
+    "OptimizationPlan": ".optimizer",
+    "optimize_error_bounds": ".optimizer",
+    "optimize_for_size_budget": ".optimizer",
+    "CompressedLayer": ".encoder",
+    "CompressedModel": ".encoder",
+    "DeepSZEncoder": ".encoder",
+    "DeepSZDecoder": ".decoder",
+    "DecodedModel": ".decoder",
+    "DeepSZ": ".pipeline",
+    "DeepSZConfig": ".pipeline",
+    "DeepSZResult": ".pipeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,46 +21,34 @@ Public API highlights
 * :mod:`repro.nn.specs` -- the architecture bookkeeping behind Table 1.
 """
 
-from repro.nn.initializers import he_init, xavier_init, zeros_init
-from repro.nn.layers import (
-    Layer,
-    Dense,
-    Conv2D,
-    ReLU,
-    MaxPool2D,
-    Flatten,
-    Dropout,
-    Softmax,
-)
-from repro.nn.losses import softmax_cross_entropy
-from repro.nn.network import Network
-from repro.nn.sparse import SparseWeight
-from repro.nn.train import SGDConfig, SGDTrainer, TrainResult
-from repro.nn import models, specs
-from repro.nn.serialize import save_network, load_network, network_to_bytes, network_from_bytes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "he_init",
-    "xavier_init",
-    "zeros_init",
-    "Layer",
-    "Dense",
-    "Conv2D",
-    "ReLU",
-    "MaxPool2D",
-    "Flatten",
-    "Dropout",
-    "Softmax",
-    "softmax_cross_entropy",
-    "Network",
-    "SparseWeight",
-    "SGDConfig",
-    "SGDTrainer",
-    "TrainResult",
-    "models",
-    "specs",
-    "save_network",
-    "load_network",
-    "network_to_bytes",
-    "network_from_bytes",
-]
+#: Exported name -> defining module, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "he_init": ".initializers",
+    "xavier_init": ".initializers",
+    "zeros_init": ".initializers",
+    "Layer": ".layers",
+    "Dense": ".layers",
+    "Conv2D": ".layers",
+    "ReLU": ".layers",
+    "MaxPool2D": ".layers",
+    "Flatten": ".layers",
+    "Dropout": ".layers",
+    "Softmax": ".layers",
+    "softmax_cross_entropy": ".losses",
+    "Network": ".network",
+    "SparseWeight": ".sparse",
+    "SGDConfig": ".train",
+    "SGDTrainer": ".train",
+    "TrainResult": ".train",
+    "models": ".models",
+    "specs": ".specs",
+    "save_network": ".serialize",
+    "load_network": ".serialize",
+    "network_to_bytes": ".serialize",
+    "network_from_bytes": ".serialize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

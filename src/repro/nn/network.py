@@ -18,14 +18,16 @@ evaluation recompute only the layers *downstream* of the perturbed one.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.nn.layers import Dense, Layer, Softmax
 from repro.nn.sparse import SparseWeight
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["Network", "topk_counts"]
 
@@ -266,17 +268,22 @@ class Network:
                     f"{type(first).__name__} for {layer_name!r}"
                 )
             expected = (first.out_features, first.in_features)
-            if not isinstance(weight_override, np.ndarray) and (
-                isinstance(weight_override, SparseWeight)
-                or sp.issparse(weight_override)
-                # Duck-typed SparseLayer (all three attributes, so plain
-                # sequences with an .index *method* stay on the dense path).
-                or (
-                    hasattr(weight_override, "index")
-                    and hasattr(weight_override, "data")
-                    and hasattr(weight_override, "shape")
+            sparse_override = False
+            if not isinstance(weight_override, np.ndarray):
+                from scipy import sparse as sp
+
+                sparse_override = (
+                    isinstance(weight_override, SparseWeight)
+                    or sp.issparse(weight_override)
+                    # Duck-typed SparseLayer (all three attributes, so plain
+                    # sequences with an .index *method* stay on the dense path).
+                    or (
+                        hasattr(weight_override, "index")
+                        and hasattr(weight_override, "data")
+                        and hasattr(weight_override, "shape")
+                    )
                 )
-            ):
+            if sparse_override:
                 sparse = SparseWeight.coerce(weight_override)
                 if sparse.shape != expected:
                     raise ValidationError(

@@ -21,16 +21,22 @@ entry plus one int32 per input feature), which at 10% density is ~5x below
 the dense float32 matrix — that footprint, not the dense ``nbytes``, is
 what a :class:`repro.serve.cache.LRUCache` entry is charged in sparse
 serving mode.
+
+SciPy is imported inside the constructors, not by this module, so it loads
+on the first :class:`SparseWeight` a process builds: a dense serving worker,
+which imports this module through :mod:`repro.nn.network`, never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["SparseWeight"]
 
@@ -46,6 +52,8 @@ class SparseWeight:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
+        from scipy import sparse as sp
+
         if not sp.issparse(matrix):
             raise ValidationError(
                 f"SparseWeight needs a scipy sparse matrix, got {type(matrix).__name__}"
@@ -95,6 +103,8 @@ class SparseWeight:
         :class:`SparseWeight` produces — float32 data, sorted indices —
         which holds by construction when they were serialized from one.
         """
+        from scipy import sparse as sp
+
         matrix = sp.csc_matrix((data, indices, indptr), shape=shape, copy=False)
         if matrix.dtype != np.float32:
             raise ValidationError(
@@ -110,6 +120,8 @@ class SparseWeight:
     @classmethod
     def from_dense(cls, weights: np.ndarray) -> "SparseWeight":
         """Build from a (pruned) dense matrix — test/tooling convenience."""
+        from scipy import sparse as sp
+
         weights = np.asarray(weights, dtype=np.float32)
         if weights.ndim != 2:
             raise ValidationError(f"weights must be a 2-D matrix, got shape {weights.shape}")
@@ -120,6 +132,8 @@ class SparseWeight:
         """Accept a SparseWeight, a SciPy sparse matrix, or a SparseLayer."""
         if isinstance(value, cls):
             return value
+        from scipy import sparse as sp
+
         if sp.issparse(value):
             return cls(value)
         # Duck-typed SparseLayer: avoids importing repro.pruning at module

@@ -15,28 +15,20 @@ The data array is what SZ compresses lossily; the index array is compressed
 losslessly (Step 4).
 """
 
-from repro.pruning.magnitude import (
-    magnitude_threshold,
-    prune_weights,
-    PruningConfig,
-    PrunedNetwork,
-    prune_network,
-)
-from repro.pruning.sparse_format import (
-    SparseLayer,
-    encode_sparse,
-    decode_sparse,
-    sparse_to_scipy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "magnitude_threshold",
-    "prune_weights",
-    "PruningConfig",
-    "PrunedNetwork",
-    "prune_network",
-    "SparseLayer",
-    "encode_sparse",
-    "decode_sparse",
-    "sparse_to_scipy",
-]
+#: Exported name -> defining module, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "magnitude_threshold": ".magnitude",
+    "prune_weights": ".magnitude",
+    "PruningConfig": ".magnitude",
+    "PrunedNetwork": ".magnitude",
+    "prune_network": ".magnitude",
+    "SparseLayer": ".sparse_format",
+    "encode_sparse": ".sparse_format",
+    "decode_sparse": ".sparse_format",
+    "sparse_to_scipy": ".sparse_format",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,11 +14,14 @@ Both encode and decode are fully vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.utils.errors import DecompressionError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = [
     "SparseLayer",
@@ -185,6 +188,8 @@ def sparse_to_scipy(layer: SparseLayer, data: np.ndarray | None = None) -> sp.cs
         the exact 0.0 padding entries are dropped and ``csr.nnz`` equals
         ``layer.nnz``.
     """
+    from scipy import sparse as sp
+
     values = layer.data if data is None else np.asarray(data, dtype=np.float32)
     if values.shape != layer.index.shape:
         raise DecompressionError(

