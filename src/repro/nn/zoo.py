@@ -3,8 +3,8 @@
 Every benchmark and example needs the same artifacts — a synthetic dataset,
 a trained network, and its pruned counterpart — and training the conv models
 on a CPU takes a minute or two.  The zoo builds each artifact once and caches
-the parameters under a cache directory (``REPRO_CACHE`` environment variable,
-default ``~/.cache/repro-deepsz``), keyed by the model name and the recipe
+the parameters under the cache root (:func:`repro.utils.cache.cache_root`:
+``REPRO_CACHE``, default ``~/.cache/repro-deepsz``), keyed by the model name and the recipe
 hash, so that re-running a benchmark re-uses the trained weights.
 
 The recipes (dataset sizes, epochs, pruning ratios) are the reproduction's
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
@@ -31,9 +29,10 @@ from repro.nn.serialize import load_network, save_network
 from repro.nn.specs import PAPER_PRUNING_RATIOS
 from repro.nn.train import SGDConfig, SGDTrainer
 from repro.pruning import PrunedNetwork, PruningConfig, prune_network
+from repro.utils.cache import cache_root
 from repro.utils.errors import ValidationError
 
-__all__ = ["ModelRecipe", "RECIPES", "cache_dir", "load_dataset", "trained_model", "pruned_model"]
+__all__ = ["ModelRecipe", "RECIPES", "load_dataset", "trained_model", "pruned_model"]
 
 
 @dataclass(frozen=True)
@@ -117,14 +116,6 @@ PAPER_NAME: Dict[str, str] = {
 }
 
 
-def cache_dir() -> Path:
-    """Directory used for cached trained parameters."""
-    root = os.environ.get("REPRO_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "repro-deepsz"))
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def get_recipe(name: str) -> ModelRecipe:
     try:
         return RECIPES[name]
@@ -160,7 +151,7 @@ def trained_model(name: str, *, use_cache: bool = True) -> Tuple[Network, Datase
     recipe = get_recipe(name)
     train, test = load_dataset(recipe)
     network = _build(recipe)
-    path = cache_dir() / f"{name}-{recipe.fingerprint()}-trained.bin"
+    path = cache_root() / f"{name}-{recipe.fingerprint()}-trained.bin"
     if use_cache and path.exists():
         load_network(path, network)
         return network, train, test
@@ -183,7 +174,7 @@ def pruned_model(name: str, *, use_cache: bool = True) -> Tuple[PrunedNetwork, D
     """A trained-then-pruned network (masked-retrained), cached on disk."""
     recipe = get_recipe(name)
     network, train, test = trained_model(name, use_cache=use_cache)
-    path = cache_dir() / f"{name}-{recipe.fingerprint()}-pruned.bin"
+    path = cache_root() / f"{name}-{recipe.fingerprint()}-pruned.bin"
     config = PruningConfig(
         ratios=recipe.pruning_ratios,
         retrain=True,

@@ -13,7 +13,9 @@ its bit offset, and each code is shifted into the (at most two) big-endian
 works from the packed payload bytes: one big-endian word per byte yields
 the bit window at every offset, one probe of a combined ``slot << 8 |
 length`` entry table decodes every short code, and the chain of visited
-offsets is extracted with ``np.intp`` gathers.
+offsets is extracted with ``np.intp`` gathers.  Where this machine can
+build it, a small compiled kernel (:mod:`repro.sz.native`) walks the stream
+once instead; the numpy kernel is the portable fallback and its oracle.
 """
 
 from __future__ import annotations
@@ -23,14 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sz import native
 from repro.utils.bitstream import pack_bits
 from repro.utils.bytesio import read_named_sections, write_named_sections
 from repro.utils.errors import CompressionError, DecompressionError, ValidationError
 
 __all__ = ["HuffmanCodec", "HuffmanTable"]
 
-_FAST_BITS = 12  # bits probed per offset (4096-entry table)
+_FAST_BITS = 12  # bits probed per offset (4096-entry table); at most 16 for the C kernel
 _NO_CODE = -1  # entry-table marker: no code of at most _FAST_BITS bits here
+#: The compiled kernel's nonzero statuses.
+_KERNEL_ERRORS = {
+    1: "Huffman bitstream exhausted",
+    2: "invalid Huffman code in stream",
+    3: "Huffman bitstream overrun",
+}
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,44 @@ def _check_canonical(lengths: np.ndarray) -> None:
     per_length = np.bincount(lengths, minlength=65).tolist()
     if sum(n << (64 - length) for length, n in enumerate(per_length)) > 1 << 64:
         raise DecompressionError("corrupt Huffman table")
+
+
+def _trivial_decode(
+    payload: bytes, nbits: int, table: HuffmanTable, count: int
+) -> np.ndarray | None:
+    """The checks both decode kernels run first.
+
+    Raises on a header that claims more bits than ``payload`` holds or a
+    code-length table no canonical encoder can produce; returns the output
+    when no kernel needs to run, else ``None``.
+    """
+    if nbits < 0 or nbits > 8 * len(payload):
+        raise DecompressionError(
+            f"bitstream truncated: need {nbits} bits, have {8 * len(payload)}"
+        )
+    _check_canonical(table.lengths)
+    if count < 0:
+        raise DecompressionError(f"corrupt Huffman header: count {count}")
+    if table.symbols.size == 1:
+        # Degenerate single-symbol alphabet: every element is that symbol.
+        return np.full(count, table.symbols[0], dtype=np.int64)
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    if count > nbits:
+        # Every code is at least one bit, so the stream ends first.  Checked
+        # before a kernel allocates output for a corrupt ``count``.
+        raise DecompressionError("Huffman bitstream exhausted")
+    return None
+
+
+def _zero_padded(payload: bytes, nbits: int, size: int) -> np.ndarray:
+    """The first ``nbits`` bits of ``payload`` in ``size`` bytes, the rest zero."""
+    nbytes = (nbits + 7) >> 3
+    buf = np.zeros(size, dtype=np.uint8)
+    buf[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
+    if nbits & 7:
+        buf[nbytes - 1] &= (0xFF << (8 - (nbits & 7))) & 0xFF
+    return buf
 
 
 def _resolve_long_codes(
@@ -269,7 +316,10 @@ class HuffmanCodec:
         if symbols.size != lengths.size or symbols.size == 0:
             raise DecompressionError("corrupt Huffman table")
         table = HuffmanTable(symbols=symbols, lengths=lengths)
-        return self._decode_packed(sections["payload"], nbits, table, count)
+        kernel = native.huffman_kernel()
+        if kernel is None:
+            return self._decode_packed(sections["payload"], nbits, table, count)
+        return self._decode_native(kernel, sections["payload"], nbits, table, count)
 
     #: Symbols decoded per anchor in the lockstep phase of :meth:`_decode_packed`.
     _CHAIN_STRIDE = 32
@@ -279,6 +329,38 @@ class HuffmanCodec:
         """Decode an unpacked bit array (one bool per bit) with the packed kernel."""
         bits = np.asarray(bits)
         return HuffmanCodec._decode_packed(pack_bits(bits), int(bits.size), table, count)
+
+    @staticmethod
+    def _decode_native(
+        kernel, payload: bytes, nbits: int, table: HuffmanTable, count: int
+    ) -> np.ndarray:
+        """Decode with the compiled ``kernel`` (:func:`repro.sz.native.huffman_kernel`).
+
+        One sequential walk: probe the next ``_FAST_BITS`` bits in a table
+        of code lengths, fall back to the canonical per-length range test
+        for longer codes, and take the slot from the code's offset in its
+        length's range.  Same output and errors as :meth:`_decode_packed`.
+        """
+        done = _trivial_decode(payload, nbits, table, count)
+        if done is not None:
+            return done
+        buf = _zero_padded(payload, nbits, ((nbits + 7) >> 3) + 8)
+        per_length = np.bincount(table.lengths, minlength=65).astype(np.int64)
+        symbols = np.ascontiguousarray(table.symbols, dtype=np.int64)
+        out = np.empty(count, dtype=np.int64)
+        fast_bits = min(_FAST_BITS, int(table.lengths[-1]))
+        status = kernel(
+            buf.ctypes.data,
+            nbits,
+            per_length.ctypes.data,
+            fast_bits,
+            symbols.ctypes.data,
+            count,
+            out.ctypes.data,
+        )
+        if status:
+            raise DecompressionError(_KERNEL_ERRORS[status])
+        return out
 
     @staticmethod
     def _decode_packed(
@@ -309,21 +391,11 @@ class HuffmanCodec:
         ``intp`` before a gather.  See DESIGN.md ("Vectorised Huffman
         decode") for the derivation.
         """
+        done = _trivial_decode(payload, nbits, table, count)
+        if done is not None:
+            return done
         symbols = table.symbols
         lengths = table.lengths.astype(np.int64)
-        if nbits < 0 or nbits > 8 * len(payload):
-            raise DecompressionError(
-                f"bitstream truncated: need {nbits} bits, have {8 * len(payload)}"
-            )
-        _check_canonical(lengths)
-        if symbols.size == 1:
-            # Degenerate single-symbol alphabet: every element is that symbol.
-            return np.full(count, symbols[0], dtype=np.int64)
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        if nbits == 0:
-            raise DecompressionError("Huffman bitstream exhausted")
-
         max_len = int(lengths[-1])
         fast_bits = min(_FAST_BITS, max_len)
 
@@ -343,10 +415,7 @@ class HuffmanCodec:
         # rejected by the final overrun check.
         nbytes = (nbits + 7) >> 3
         nwords = (nbytes + 7) >> 3
-        buf = np.zeros(8 * nwords + 8, dtype=np.uint8)
-        buf[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
-        if nbits & 7:
-            buf[nbytes - 1] &= (0xFF << (8 - (nbits & 7))) & 0xFF
+        buf = _zero_padded(payload, nbits, 8 * nwords + 8)
         words = np.empty((nwords, 8), dtype=np.int64)
         for k in range(8):
             words[:, k] = buf[k : k + 8 * nwords].view(">i8")

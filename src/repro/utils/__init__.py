@@ -10,6 +10,7 @@ This package contains the pieces that every other subsystem leans on:
 * :mod:`repro.utils.timing` -- lightweight wall-clock timers used by the
   benchmark harness and the Figure 7 breakdowns.
 * :mod:`repro.utils.rng` -- deterministic random number helpers.
+* :mod:`repro.utils.cache` -- the on-disk cache root (``REPRO_CACHE``).
 * :mod:`repro.utils.validation` -- argument checking helpers shared by the
   public API surfaces.
 """
@@ -26,6 +27,7 @@ from repro.utils.bitstream import BitWriter, BitReader, pack_bits, unpack_bits
 from repro.utils.bytesio import write_named_sections, read_named_sections
 from repro.utils.timing import Timer, TimingBreakdown
 from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.cache import cache_root
 from repro.utils.validation import (
     require,
     check_positive,
@@ -52,6 +54,7 @@ __all__ = [
     "TimingBreakdown",
     "make_rng",
     "spawn_rngs",
+    "cache_root",
     "require",
     "check_positive",
     "check_in_range",

@@ -19,6 +19,16 @@ from repro.nn.specs import PAPER_PRUNING_RATIOS
 from repro.pruning import PruningConfig, encode_sparse, prune_network, prune_weights
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_root(tmp_path_factory):
+    """Point ``REPRO_CACHE`` at a fresh directory for the session, so the
+    compiled Huffman kernel is built here and never lands in the user's
+    cache (spawned workers inherit the variable)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -1,5 +1,6 @@
 """Tests for the canonical Huffman codec."""
 
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -7,15 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz import huffman
+from repro.sz import huffman, native
 from repro.sz.huffman import HuffmanCodec, HuffmanTable
-from repro.utils.bytesio import read_named_sections
+from repro.utils.bitstream import pack_bits
+from repro.utils.bytesio import read_named_sections, write_named_sections
 from repro.utils.errors import DecompressionError, ValidationError
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @pytest.fixture()
 def codec():
     return HuffmanCodec()
+
+
+def _c_decode_packed(payload, nbits, table, count):
+    """``HuffmanCodec._decode_packed``'s signature, run by the compiled kernel."""
+    kernel = native.huffman_kernel()
+    assert kernel is not None, "cc is on PATH but the compiled kernel did not load"
+    return HuffmanCodec._decode_native(kernel, payload, nbits, table, count)
+
+
+@needs_cc
+def test_compiled_kernel_loads_where_cc_exists():
+    # The C test classes below would fail without it; this names the cause.
+    assert native.huffman_kernel() is not None
 
 
 class TestHuffmanRoundtrip:
@@ -96,6 +113,16 @@ class TestHuffmanCorruption:
         assert not np.array_equal(out, data)
 
 
+    @pytest.mark.parametrize("count", [-5, 1 << 40])
+    def test_corrupt_count_raises_decompression_error(self, codec, count):
+        # A huge count used to reach the kernel's output allocation
+        # (MemoryError), a negative one numpy's shape check (ValueError).
+        meta, sections = read_named_sections(codec.encode(np.arange(10, dtype=np.int64)))
+        meta["count"] = count
+        with pytest.raises(DecompressionError):
+            codec.decode(write_named_sections(sections, meta=meta))
+
+
 class TestHuffmanTable:
     def test_canonical_codes_are_prefix_free(self):
         table = HuffmanTable(
@@ -118,6 +145,8 @@ class TestHuffmanTable:
 class TestVectorizedDecodeKernel:
     """Differential tests: the batched decode kernel vs the scalar reference."""
 
+    kernel = staticmethod(HuffmanCodec._decode_packed)
+
     def _round_trip_both(self, codec, data):
         from repro.utils.bytesio import read_named_sections
         from repro.utils.bitstream import unpack_bits
@@ -128,7 +157,7 @@ class TestVectorizedDecodeKernel:
         lengths = np.frombuffer(sections["table_lengths"], dtype=np.uint8)
         table = HuffmanTable(symbols=symbols, lengths=lengths)
         bits = unpack_bits(sections["payload"], int(meta["nbits"]))
-        fast = HuffmanCodec._decode_bits(bits, table, data.size)
+        fast = self.kernel(pack_bits(bits), bits.size, table, data.size)
         slow = HuffmanCodec._decode_bits_reference(bits, table, data.size)
         np.testing.assert_array_equal(fast, slow)
         np.testing.assert_array_equal(fast, data)
@@ -172,6 +201,13 @@ class TestVectorizedDecodeKernel:
             codec.decode(write_named_sections(sections, meta=meta))
 
 
+@needs_cc
+class TestVectorizedDecodeKernelC(TestVectorizedDecodeKernel):
+    """The same differential tests for the compiled kernel."""
+
+    kernel = staticmethod(_c_decode_packed)
+
+
 def _table_and_bits(codec, data):
     from repro.utils.bitstream import unpack_bits
     from repro.utils.bytesio import read_named_sections
@@ -185,30 +221,33 @@ def _table_and_bits(codec, data):
 
 
 def _outcome(decode, *args):
+    """The decoded array, or the message of the DecompressionError raised."""
     try:
         return decode(*args)
-    except DecompressionError:
-        return DecompressionError
+    except DecompressionError as exc:
+        return str(exc)
 
 
-def _assert_same_outcome(bits, table, count, nbits=None):
-    """Kernel and reference agree on the first ``nbits`` bits of ``bits``.
+def _assert_same_outcome(bits, table, count, nbits=None, kernel=HuffmanCodec._decode_packed):
+    """``kernel`` and the reference agree on the first ``nbits`` bits of ``bits``.
 
-    The packed kernel gets every byte of ``bits``, so bits after ``nbits``
-    (a truncated header over an intact payload) must not change its result.
+    ``kernel`` gets every byte of ``bits``, so bits after ``nbits`` (a
+    truncated header over an intact payload) must not change its result.
+    Where it raises, it raises the numpy kernel's error for the same stream.
     """
-    from repro.utils.bitstream import pack_bits
-
     nbits = bits.size if nbits is None else nbits
     stream = bits[:nbits]
-    packed = _outcome(HuffmanCodec._decode_packed, pack_bits(bits), nbits, table, count)
+    packed = _outcome(kernel, pack_bits(bits), nbits, table, count)
     wrapped = _outcome(HuffmanCodec._decode_bits, stream, table, count)
     slow = _outcome(HuffmanCodec._decode_bits_reference, stream, table, count)
     for fast in (packed, wrapped):
-        if fast is DecompressionError or slow is DecompressionError:
-            assert fast is slow
+        if isinstance(fast, str) or isinstance(slow, str):
+            assert isinstance(fast, str) and isinstance(slow, str)
         else:
             np.testing.assert_array_equal(fast, slow)
+    if isinstance(packed, str):
+        assert packed == wrapped
+        return DecompressionError
     return packed
 
 
@@ -233,6 +272,8 @@ def _fibonacci_stream(rng, nsym):
 class TestCorruptionDifferential:
     """On corrupt input the kernel and the scalar reference agree: the same
     array, or both raise DecompressionError."""
+
+    kernel = staticmethod(HuffmanCodec._decode_packed)
 
     @staticmethod
     def _stream(rng):
@@ -266,7 +307,7 @@ class TestCorruptionDifferential:
                 nbits = max(0, bits.size - int(rng.integers(1, 21)))
             else:
                 count += int(rng.integers(1, 10))
-            got = _assert_same_outcome(bits, table, count, nbits)
+            got = _assert_same_outcome(bits, table, count, nbits, self.kernel)
             outcomes["error" if got is DecompressionError else "array"] += 1
         # Both outcomes occur, so neither side is trivially always failing.
         assert outcomes["error"] > 50 and outcomes["array"] > 50
@@ -277,11 +318,12 @@ class TestCorruptionDifferential:
         data = _fibonacci_stream(rng, 17)
         table, bits = _table_and_bits(codec, data)
         assert table.max_length > 12
-        np.testing.assert_array_equal(_assert_same_outcome(bits, table, data.size), data)
+        got = _assert_same_outcome(bits, table, data.size, kernel=self.kernel)
+        np.testing.assert_array_equal(got, data)
         for seed in range(40):
             flipped = bits.copy()
             flipped[np.random.default_rng(seed).integers(0, bits.size, 2)] ^= True
-            _assert_same_outcome(flipped, table, data.size)
+            _assert_same_outcome(flipped, table, data.size, kernel=self.kernel)
 
     def test_codes_wider_than_one_word(self):
         # Lengths 1, 2, ..., 64, 64: a complete code whose longest codewords
@@ -291,11 +333,11 @@ class TestCorruptionDifferential:
         rng = np.random.default_rng(9)
         slots = np.concatenate([rng.integers(0, 65, 300), [64, 63, 58, 57, 0, 64]])
         bits = _encode_with_table(table, slots)
-        out = _assert_same_outcome(bits, table, slots.size)
+        out = _assert_same_outcome(bits, table, slots.size, kernel=self.kernel)
         np.testing.assert_array_equal(out, table.symbols[slots])
         for cut in (1, 7, 40):
-            _assert_same_outcome(bits, table, slots.size, bits.size - cut)
-        _assert_same_outcome(bits, table, slots.size + 1)
+            _assert_same_outcome(bits, table, slots.size, bits.size - cut, self.kernel)
+        _assert_same_outcome(bits, table, slots.size + 1, kernel=self.kernel)
 
     @pytest.mark.parametrize(
         "lengths",
@@ -308,7 +350,14 @@ class TestCorruptionDifferential:
             lengths=np.asarray(lengths, dtype=np.uint8),
         )
         with pytest.raises(DecompressionError):
-            HuffmanCodec._decode_bits(np.zeros(16, dtype=bool), table, 4)
+            self.kernel(pack_bits(np.zeros(16, dtype=bool)), 16, table, 4)
+
+
+@needs_cc
+class TestCorruptionDifferentialC(TestCorruptionDifferential):
+    """The same corruption differential for the compiled kernel."""
+
+    kernel = staticmethod(_c_decode_packed)
 
 
 def _pack_bits_reference(codes, lengths):
