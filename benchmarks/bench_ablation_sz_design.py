@@ -1,11 +1,12 @@
 """Ablations of the SZ design choices called out in DESIGN.md.
 
-* Lorenzo prediction vs direct quantization of values (no prediction).
+* Lorenzo prediction vs direct quantization of values (no prediction), and
+  the adaptive default that picks between them per stream.
 * Quantizer capacity (the unpredictable-data threshold).
 * Lossless back end applied after Huffman coding.
 
 These are not figures from the paper, but they justify the defaults the
-reproduction uses; the headline SZ pipeline (Lorenzo + Huffman + zlib) should
+reproduction uses; the headline SZ pipeline (adaptive prediction + Huffman + zlib) should
 never lose to the ablated variants by more than noise.
 """
 
@@ -32,11 +33,10 @@ def bench_ablation_predictor(benchmark):
 
     On noise-like weight arrays the plain Lorenzo predictor *hurts*: first
     differences of uncorrelated codes have roughly twice the variance, so the
-    residual entropy grows by ~0.5 bit per value.  This is exactly why SZ 2.x
-    introduced the per-block regression predictor — on such blocks the
-    regression fit collapses to "predict (almost) zero", recovering the
-    direct-quantization rate.  The adaptive default must therefore match or
-    beat both fixed choices.
+    residual entropy grows by ~0.5 bit per value.  The adaptive default is
+    the per-stream best fit of direct vs Lorenzo by exact Huffman-coded size,
+    so on such arrays it picks direct quantization and matches its rate.  It
+    must therefore match or beat both fixed choices.
     """
     data = _data_array()
     rows = []

@@ -6,7 +6,8 @@ lump sum:
 
 * ``lossless`` — the outer byte-codec pass (zlib/lzma/zstd);
 * ``huffman``  — canonical Huffman decode of the quantization codes;
-* ``predictor`` — Lorenzo/adaptive prediction reconstruction;
+* ``predictor`` — Lorenzo prefix sum (and the per-block adaptive decode of
+  streams written by earlier versions); direct streams skip it;
 * ``dequantize`` — code → value mapping plus outlier reinsertion;
 * ``build``    — dense materialisation or CSC operand construction.
 

@@ -6,8 +6,9 @@ arrays, which is exactly the shape of the pruned fc-layer ``data arrays``
 DeepSZ compresses:
 
 1. **Prediction** -- a 1-D Lorenzo predictor operating on *decompressed*
-   values (equivalently: first differences of the quantization codes), with a
-   no-prediction mode available for ablation (:mod:`repro.sz.predictor`).
+   values (equivalently: first differences of the quantization codes) or
+   direct quantization; the default takes, per stream, whichever of the two
+   Huffman-codes smaller (:mod:`repro.sz.predictor`).
 2. **Error-controlled linear-scaling quantization** -- every value is mapped
    to an integer code on a ``2 * error_bound`` grid; codes that fall outside
    the quantizer capacity are stored verbatim as "unpredictable" literals
@@ -38,12 +39,7 @@ from repro.sz.lossless import (
 )
 from repro.sz.quantizer import LinearQuantizer, QuantizationResult
 from repro.sz.predictor import lorenzo_encode, lorenzo_decode
-from repro.sz.regression import (
-    AdaptivePrediction,
-    adaptive_encode,
-    adaptive_decode,
-    DEFAULT_BLOCK_SIZE,
-)
+from repro.sz.regression import AdaptivePrediction, adaptive_decode
 
 __all__ = [
     "ErrorMode",
@@ -63,7 +59,5 @@ __all__ = [
     "lorenzo_encode",
     "lorenzo_decode",
     "AdaptivePrediction",
-    "adaptive_encode",
     "adaptive_decode",
-    "DEFAULT_BLOCK_SIZE",
 ]

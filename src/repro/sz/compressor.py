@@ -4,13 +4,17 @@ Compression stages (Section 2.2 / 3.3 of the paper):
 
 1. resolve the error constraint to an absolute bound,
 2. error-controlled linear-scaling quantization (:class:`LinearQuantizer`),
-3. 1-D Lorenzo prediction of the quantization codes (:func:`lorenzo_encode`),
+3. prediction of the quantization codes: direct (none), 1-D Lorenzo
+   (:func:`lorenzo_encode`), or, with ``PredictorKind.ADAPTIVE`` (the
+   default), the per-stream best fit of direct vs Lorenzo by coded size,
 4. canonical Huffman coding of the residual codes (:class:`HuffmanCodec`),
 5. a lossless back end over the whole payload (:mod:`repro.sz.lossless`).
 
 The decompressor inverts the stages and reconstructs a float32 array whose
 element-wise error is bounded by the absolute error bound (outliers are
-reconstructed exactly).
+reconstructed exactly).  It also reads the per-block regression/adaptive
+streams of :mod:`repro.sz.regression`; those are read-only, for streams
+written by earlier versions.
 
 Containers
 ----------
@@ -47,7 +51,7 @@ from repro.sz.huffman import HuffmanCodec
 from repro.sz.lossless import best_fit_backend, get_backend
 from repro.sz.predictor import lorenzo_decode, lorenzo_encode
 from repro.sz.quantizer import LinearQuantizer, QuantizationResult
-from repro.sz.regression import AdaptivePrediction, adaptive_decode, adaptive_encode
+from repro.sz.regression import AdaptivePrediction, adaptive_decode
 from repro.utils.bytesio import read_named_sections, write_named_sections
 from repro.utils.errors import DecompressionError
 from repro.utils.validation import as_float32_1d
@@ -119,35 +123,27 @@ def _encode_raw(
     quantizer = LinearQuantizer(abs_bound, capacity=cfg.capacity)
     qr = quantizer.quantize(data)
 
-    extra_sections: dict[str, bytes] = {}
-    extra_meta: dict[str, object] = {}
-    if cfg.predictor is PredictorKind.LORENZO:
-        residuals = lorenzo_encode(qr.codes)
-    elif cfg.predictor is PredictorKind.ADAPTIVE:
-        prediction = adaptive_encode(qr.codes)
-        residuals = prediction.residuals
-        extra_sections["block_modes"] = prediction.modes.astype(np.uint8).tobytes()
-        extra_sections["block_coeffs"] = prediction.coefficients.astype("<f4").tobytes()
-        extra_meta["block_size"] = int(prediction.block_size)
-        extra_meta["num_blocks"] = int(prediction.num_blocks)
-    else:
-        residuals = qr.codes
-
-    encoded = HuffmanCodec().encode(residuals)
+    # ADAPTIVE is the best fit per stream: the direct codes or their Lorenzo
+    # residuals, whichever Huffman-codes smaller (direct on a tie: it has no
+    # prefix sum to decode).  The stream records the kind that won, so it
+    # decodes through that kind's branch.
+    kinds = (cfg.predictor,)
+    if cfg.predictor is PredictorKind.ADAPTIVE:
+        kinds = (PredictorKind.NONE, PredictorKind.LORENZO)
+    streams = [lorenzo_encode(qr.codes) if k is PredictorKind.LORENZO else qr.codes for k in kinds]
+    pick, encoded = HuffmanCodec().encode_smallest(streams)
     sections = {
         "huffman": encoded,
         "outlier_mask": np.packbits(qr.outlier_mask).tobytes() if qr.outlier_count else b"",
         "outliers": qr.outliers.astype("<f4").tobytes(),
-        **extra_sections,
     }
     meta = {
         "magic": _MAGIC,
         "count": int(data.size),
         "abs_bound": float(abs_bound),
-        "predictor": cfg.predictor.value,
+        "predictor": kinds[pick].value,
         "capacity": int(cfg.capacity),
         "outlier_count": int(qr.outlier_count),
-        **extra_meta,
     }
     return write_named_sections(sections, meta=meta), qr
 
@@ -170,7 +166,10 @@ def _decode_raw(raw_payload: bytes) -> np.ndarray:
         raise DecompressionError("corrupt SZ payload (inner magic mismatch)")
     count = int(meta["count"])
     abs_bound = float(meta["abs_bound"])
-    predictor = PredictorKind(meta["predictor"])
+    try:
+        predictor = PredictorKind(meta["predictor"])
+    except ValueError:
+        raise DecompressionError(f"unknown SZ predictor {meta['predictor']!r}") from None
     capacity = int(meta["capacity"])
     outlier_count = int(meta["outlier_count"])
 
@@ -182,6 +181,7 @@ def _decode_raw(raw_payload: bytes) -> np.ndarray:
         with profile.stage("predictor"):
             codes = lorenzo_decode(residuals)
     elif predictor is PredictorKind.ADAPTIVE:
+        # Per-block streams, written only before the per-stream choice.
         num_blocks = int(meta["num_blocks"])
         modes = np.frombuffer(sections["block_modes"], dtype=np.uint8)
         if modes.size != num_blocks:

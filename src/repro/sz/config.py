@@ -33,7 +33,10 @@ class PredictorKind(str, enum.Enum):
     """Prediction scheme applied before quantization."""
 
     LORENZO = "lorenzo"  #: 1-D Lorenzo predictor on decompressed values
-    ADAPTIVE = "adaptive"  #: per-block best fit of Lorenzo vs linear regression (SZ 2.x)
+    #: Per-stream best fit of direct vs Lorenzo by coded size.  Streams
+    #: record the kind that won; per-block regression/adaptive streams are
+    #: read-only, for streams written by earlier versions.
+    ADAPTIVE = "adaptive"
     NONE = "none"  #: direct quantization of values (ablation baseline)
 
 
@@ -49,10 +52,12 @@ class SZConfig:
     mode:
         Error-control mode.
     predictor:
-        Prediction scheme.  The default is the SZ 2.x adaptive best-fit
-        predictor (per-block choice between Lorenzo and linear regression),
-        which is the configuration the paper's SZ library uses; plain Lorenzo
-        and no-prediction are available for ablation.
+        Prediction scheme.  The default, ``ADAPTIVE``, is SZ's best-fit
+        prediction made per stream: direct quantization or Lorenzo,
+        whichever has the smaller exact Huffman-coded size.  Per-block
+        regression/adaptive streams are read-only, for streams written by
+        earlier versions.  Plain Lorenzo and no-prediction are available for
+        ablation.
     capacity:
         Number of quantization bins.  Codes outside ``[-capacity/2,
         capacity/2)`` are stored as unpredictable literals, exactly as SZ's

@@ -9,7 +9,10 @@ decoder deterministic.
 Encoding is fully vectorised and O(n) in the symbol count: symbols are
 counted with a histogram, a ``cumsum`` of the code lengths gives every code
 its bit offset, and each code is shifted into the (at most two) big-endian
-64-bit words it touches; no code is ever expanded bit by bit.  Decoding
+64-bit words it touches; no code is ever expanded bit by bit.  The code
+lengths give a stream's exact coded size before anything is packed, so
+:meth:`HuffmanCodec.encode_smallest` compares candidate streams (the SZ
+predictor's per-stream choice) and packs only the winner.  Decoding
 works from the packed payload bytes: one big-endian word per byte yields
 the bit window at every offset, one probe of a combined ``slot << 8 |
 length`` entry table decodes every short code, and the chain of visited
@@ -263,44 +266,85 @@ def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     return words.astype(">u8").tobytes()[: (nbits + 7) >> 3], nbits
 
 
+#: Serialized table cost per distinct symbol: one ``<i8`` symbol and one
+#: ``uint8`` code length.
+_TABLE_BITS = 72
+
+
+@dataclass(frozen=True)
+class _CodePlan:
+    """The Huffman code of one stream before packing, and its exact size."""
+
+    symbols: np.ndarray  #: distinct values
+    inverse: np.ndarray  #: each element's index into ``symbols``
+    lengths: np.ndarray  #: uint8 code length per symbol
+    bits: int  #: Σ count·length plus :data:`_TABLE_BITS` per symbol
+
+    @classmethod
+    def of(cls, data: np.ndarray) -> "_CodePlan":
+        symbols, inverse, counts = _unique_counts(data)
+        lengths = _code_lengths(symbols, counts)
+        bits = int(counts @ lengths.astype(np.int64)) + _TABLE_BITS * symbols.size
+        return cls(symbols, inverse, lengths, bits)
+
+
+def _as_stream(data: np.ndarray) -> np.ndarray:
+    data = np.asarray(data)
+    if data.ndim != 1:
+        raise ValidationError(f"data must be 1-D, got shape {data.shape}")
+    return data.astype(np.int64, copy=False)
+
+
 class HuffmanCodec:
     """Encode / decode an integer symbol stream with canonical Huffman codes."""
 
     # -- encoding --------------------------------------------------------
     def encode(self, data: np.ndarray) -> bytes:
         """Encode a 1-D integer array into a self-describing byte string."""
-        data = np.asarray(data)
-        if data.ndim != 1:
-            raise ValidationError(f"data must be 1-D, got shape {data.shape}")
-        data = data.astype(np.int64, copy=False)
-        n = int(data.size)
-        if n == 0:
-            return write_named_sections(
-                {"table_symbols": b"", "table_lengths": b"", "payload": b""},
-                meta={"count": 0, "nbits": 0},
-            )
+        return self.encode_smallest([data])[1]
 
-        symbols, inverse, counts = _unique_counts(data)
-        lengths = _code_lengths(symbols, counts)
+    def encode_smallest(self, candidates: list[np.ndarray]) -> tuple[int, bytes]:
+        """Encode whichever of ``candidates`` (equal-length 1-D integer
+        arrays) codes smallest; returns ``(index, encoded)``.
+
+        The size compared is exact: the packed payload bits plus the
+        serialized table.  Only the winner is packed, and a tie goes to the
+        earlier candidate.
+        """
+        best: tuple[int, _CodePlan] | None = None
+        for i, data in enumerate(candidates):
+            data = _as_stream(data)
+            if data.size == 0:
+                return i, write_named_sections(
+                    {"table_symbols": b"", "table_lengths": b"", "payload": b""},
+                    meta={"count": 0, "nbits": 0},
+                )
+            plan = _CodePlan.of(data)
+            if best is None or plan.bits < best[1].bits:
+                best = (i, plan)
+        if best is None:
+            raise ValidationError("no candidate stream to encode")
+        index, plan = best
+
         # Canonical ordering: by (length, symbol value).
-        order = np.lexsort((symbols, lengths))
-        table = HuffmanTable(symbols=symbols[order], lengths=lengths[order])
+        order = np.lexsort((plan.symbols, plan.lengths))
+        table = HuffmanTable(symbols=plan.symbols[order], lengths=plan.lengths[order])
         codes = table.codes()
 
         # Map each input position to its canonical table slot.
-        slot_of_unique = np.empty(symbols.size, dtype=np.int64)
-        slot_of_unique[order] = np.arange(symbols.size)
-        slots = slot_of_unique[inverse]
+        slot_of_unique = np.empty(plan.symbols.size, dtype=np.int64)
+        slot_of_unique[order] = np.arange(plan.symbols.size)
+        slots = slot_of_unique[plan.inverse]
 
         payload, nbits = _pack_codes(codes[slots], table.lengths[slots])
 
-        return write_named_sections(
+        return index, write_named_sections(
             {
                 "table_symbols": table.symbols.astype("<i8").tobytes(),
                 "table_lengths": table.lengths.astype(np.uint8).tobytes(),
                 "payload": payload,
             },
-            meta={"count": n, "nbits": nbits},
+            meta={"count": int(plan.inverse.size), "nbits": nbits},
         )
 
     # -- decoding --------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.sz.compressor import SZCompressor
 from repro.sz.config import SZConfig
+from repro.sz.lossless import get_backend
+from repro.utils.bytesio import read_named_sections
 
 _settings = settings(max_examples=40, deadline=None)
 
@@ -27,6 +29,14 @@ def float_arrays(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(size) * scale).astype(np.float32)
+
+
+@st.composite
+def ramps(draw):
+    """Smooth data, where Lorenzo residuals beat the direct codes."""
+    size = draw(st.integers(min_value=0, max_value=700))
+    slope = draw(st.sampled_from([1e-4, 1e-3, -5e-3]))
+    return (np.arange(size) * slope + draw(st.floats(-1.0, 1.0))).astype(np.float32)
 
 
 @_settings
@@ -63,3 +73,38 @@ def test_chunked_reconstruction_equals_v1(data, chunk_size):
         SZCompressor().decompress(v1.payload),
         SZCompressor().decompress(v2.payload),
     )
+
+
+def _huffman_bits(raw_payload: bytes) -> int:
+    """An inner stream's exact Huffman size: the packed bits plus the
+    serialized table (one ``<i8`` symbol and one length byte each)."""
+    _, sections = read_named_sections(raw_payload)
+    meta, table = read_named_sections(sections["huffman"])
+    return int(meta["nbits"]) + 8 * (len(table["table_symbols"]) + len(table["table_lengths"]))
+
+
+@_settings
+@given(
+    data=st.one_of(float_arrays(), ramps()),
+    chunk_size=st.integers(min_value=1, max_value=400),
+)
+def test_adaptive_chunks_choose_the_smaller_stream(data, chunk_size):
+    """In a v2 payload every chunk makes the per-stream choice for itself:
+    each adaptive chunk is byte-identical to the ``none`` or the ``lorenzo``
+    chunk, whichever Huffman-codes smaller (direct on a tie)."""
+    payloads = {
+        predictor: read_named_sections(
+            SZCompressor(
+                SZConfig(error_bound=1e-3, predictor=predictor, chunk_size=chunk_size)
+            )
+            .compress(data)
+            .payload
+        )[1]
+        for predictor in ("adaptive", "none", "lorenzo")
+    }
+    zlib = get_backend("zlib")
+    for name, chunk in payloads["adaptive"].items():
+        candidates = [payloads[kind][name] for kind in ("none", "lorenzo")]
+        sizes = [_huffman_bits(zlib.decompress(blob)) for blob in candidates]
+        winner = candidates[int(np.argmin(sizes))]
+        assert chunk == winner

@@ -210,18 +210,33 @@ class TestCorruptContainers:
 
 
 class TestV1Compat:
+    # The blob holds ``small_compressed_model`` as an earlier writer encoded
+    # it (per-block adaptive SZ streams), so its SZ segments are checked
+    # against the blob's own sections, and its decode against the fixture's.
+
     def test_v1_blob_opens_with_lazy_reads(self, small_compressed_model, v1_crc_blob):
         archive = ModelArchive.from_bytes(v1_crc_blob)
         assert archive.version == 1
         assert set(archive.layer_names) == set(small_compressed_model.layers)
         layer = archive.read_layer("fc6")
-        assert layer.sz_payload == small_compressed_model.layers["fc6"].sz_payload
+        _, sections = read_named_sections(v1_crc_blob)
+        assert layer.sz_payload == sections["fc6/sz"]
+        assert layer.index_payload == sections["fc6/index"]
         assert layer.index_payload == small_compressed_model.layers["fc6"].index_payload
+        decoded = DeepSZDecoder().decode(archive.load_model()).weights
+        expected = DeepSZDecoder().decode(small_compressed_model).weights
+        for name in small_compressed_model.layers:
+            np.testing.assert_array_equal(
+                decoded[name].view(np.uint32), expected[name].view(np.uint32)
+            )
 
     def test_v1_blob_checksums_are_consumed(self, small_compressed_model, v1_crc_blob):
         archive = ModelArchive.from_bytes(v1_crc_blob)
+        _, sections = read_named_sections(v1_crc_blob)
+        for name, entry in archive.manifest.layers.items():
+            for kind, seg in entry.segments.items():
+                assert seg.crc32 == zlib.crc32(sections[f"{name}/{kind}"])
         seg = archive.manifest.layers["fc6"].segments["sz"]
-        assert seg.crc32 == zlib.crc32(small_compressed_model.layers["fc6"].sz_payload)
         corrupted = bytearray(v1_crc_blob)
         corrupted[seg.offset] ^= 0xFF
         with pytest.raises(DecompressionError, match="'fc6' sz segment"):

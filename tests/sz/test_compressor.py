@@ -160,3 +160,14 @@ class TestCorruption:
         payload = compress(weight_array, 1e-3).payload
         with pytest.raises(DecompressionError):
             decompress(payload[: len(payload) // 3])
+
+    def test_unknown_predictor_in_stream_header_raises(self, weight_array):
+        from repro.utils.bytesio import read_named_sections, write_named_sections
+
+        payload = compress(weight_array[:1000], 1e-3, lossless="store").payload
+        outer_meta, outer = read_named_sections(payload)
+        meta, sections = read_named_sections(outer["body"])
+        meta["predictor"] = "cubic"
+        outer["body"] = write_named_sections(sections, meta=meta)
+        with pytest.raises(DecompressionError, match="predictor"):
+            decompress(write_named_sections(outer, meta=outer_meta))

@@ -93,6 +93,34 @@ class TestHuffmanCompression:
         assert bits_per_symbol < 4.6  # entropy is 4 bits; allow table overhead
 
 
+def _coded_bits(encoded: bytes) -> int:
+    meta, sections = read_named_sections(encoded)
+    return int(meta["nbits"]) + 72 * len(sections["table_lengths"])
+
+
+class TestEncodeSmallest:
+    def test_packs_the_smaller_candidate(self, codec, rng):
+        narrow = rng.integers(-2, 3, size=5000).astype(np.int64)
+        wide = rng.integers(-300, 300, size=5000).astype(np.int64)
+        for candidates, expected in (([wide, narrow], 1), ([narrow, wide], 0)):
+            index, encoded = codec.encode_smallest(candidates)
+            assert index == expected
+            assert encoded == codec.encode(candidates[expected])
+            assert _coded_bits(encoded) < _coded_bits(codec.encode(candidates[1 - expected]))
+
+    def test_tie_goes_to_the_first(self, codec, rng):
+        data = rng.integers(-5, 5, size=1000).astype(np.int64)
+        assert codec.encode_smallest([data, -data])[0] == 0
+
+    def test_empty_candidates(self, codec):
+        empty = np.zeros(0, dtype=np.int64)
+        index, encoded = codec.encode_smallest([empty, empty])
+        assert index == 0
+        assert codec.decode(encoded).size == 0
+        with pytest.raises(ValidationError):
+            codec.encode_smallest([])
+
+
 class TestHuffmanCorruption:
     def test_truncated_payload_raises(self, codec, rng):
         data = rng.integers(0, 50, size=1000).astype(np.int64)

@@ -1,8 +1,14 @@
-"""Tests for the adaptive (Lorenzo vs regression) predictor."""
+"""Tests for the adaptive predictor: the per-stream best fit the writer makes,
+and the reader of per-block (Lorenzo / regression / direct) streams."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.nn.models import synthesize_fc_weights
+from repro.nn.specs import PAPER_PRUNING_RATIOS
+from repro.pruning import encode_sparse, prune_weights
 from repro.sz import SZCompressor, SZConfig, compress
 from repro.sz.regression import (
     MODE_DIRECT,
@@ -11,109 +17,58 @@ from repro.sz.regression import (
     AdaptivePrediction,
     _regression_predict,
     adaptive_decode,
-    adaptive_encode,
 )
-from repro.utils.errors import DecompressionError, ValidationError
+from repro.utils.errors import DecompressionError
 
 
-class TestAdaptiveEncodeDecode:
-    def test_roundtrip_random_codes(self, rng):
-        codes = rng.integers(-500, 500, size=5000).astype(np.int64)
-        assert np.array_equal(adaptive_decode(adaptive_encode(codes)), codes)
+def _stream(modes, block_size=64, tail=0) -> AdaptivePrediction:
+    """A hand-built per-block stream with random residuals and coefficients."""
+    rng = np.random.default_rng(len(modes) * 1000 + tail)
+    modes = np.asarray(modes, dtype=np.uint8)
+    n = modes.size * block_size - tail
+    nreg = int((modes == MODE_REGRESSION).sum())
+    return AdaptivePrediction(
+        residuals=rng.integers(-1000, 1000, size=n).astype(np.int64),
+        modes=modes,
+        coefficients=rng.normal(0, 50, size=(nreg, 2)).astype(np.float32),
+        block_size=block_size,
+        count=n,
+    )
 
-    def test_roundtrip_linear_trend(self):
-        codes = (np.arange(3000) * 3 + 17).astype(np.int64)
-        prediction = adaptive_encode(codes)
-        assert np.array_equal(adaptive_decode(prediction), codes)
-        # A perfectly linear signal is never won by the direct (no-prediction)
-        # mode; regression and Lorenzo split it.
-        assert prediction.mode_fractions["direct"] < 0.1
 
-    def test_noise_codes_prefer_direct_mode(self, rng):
-        codes = np.rint(rng.normal(0, 3, size=8192)).astype(np.int64)
-        prediction = adaptive_encode(codes)
-        assert prediction.mode_fractions["direct"] > 0.8
+L, R, D = MODE_LORENZO, MODE_REGRESSION, MODE_DIRECT
 
-    def test_quadratic_codes_prefer_regression_mode(self):
-        # Strong curvature: Lorenzo diffs keep growing, a per-block linear fit
-        # tracks it much better, and direct coding is hopeless.
-        codes = ((np.arange(8192) ** 2) // 50).astype(np.int64)
-        prediction = adaptive_encode(codes, block_size=64)
-        assert prediction.mode_fractions["regression"] > 0.5
 
-    def test_roundtrip_noise_like_weights(self, rng):
-        codes = np.rint(rng.normal(0, 2, size=4096)).astype(np.int64)
-        prediction = adaptive_encode(codes)
-        assert np.array_equal(adaptive_decode(prediction), codes)
+class TestAdaptiveDecodeRejects:
+    """The legacy reader fails with DecompressionError on inconsistent streams."""
 
-    def test_roundtrip_partial_last_block(self, rng):
-        codes = rng.integers(-5, 5, size=1000).astype(np.int64)  # not a multiple of 256
-        assert np.array_equal(adaptive_decode(adaptive_encode(codes)), codes)
+    def test_empty_stream(self):
+        assert adaptive_decode(_stream([])).size == 0
 
-    def test_roundtrip_shorter_than_one_block(self, rng):
-        codes = rng.integers(-5, 5, size=17).astype(np.int64)
-        assert np.array_equal(adaptive_decode(adaptive_encode(codes)), codes)
-
-    def test_empty(self):
-        prediction = adaptive_encode(np.zeros(0, dtype=np.int64))
-        assert prediction.count == 0
-        assert adaptive_decode(prediction).size == 0
-
-    def test_custom_block_size(self, rng):
-        codes = rng.integers(-100, 100, size=2000).astype(np.int64)
-        prediction = adaptive_encode(codes, block_size=64)
-        assert prediction.block_size == 64
-        assert prediction.num_blocks == (2000 + 63) // 64
-        assert np.array_equal(adaptive_decode(prediction), codes)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            adaptive_encode(np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValidationError):
-            adaptive_encode(np.zeros(10, dtype=np.int64), block_size=2)
-
-    def test_corrupt_prediction_rejected(self, rng):
-        codes = rng.integers(-5, 5, size=600).astype(np.int64)
-        prediction = adaptive_encode(codes)
-        broken = AdaptivePrediction(
-            residuals=prediction.residuals[:-1],
-            modes=prediction.modes,
-            coefficients=prediction.coefficients,
-            block_size=prediction.block_size,
-            count=prediction.count,
-        )
+    def test_corrupt_residuals_rejected(self):
+        good = _stream([L, D, L], tail=10)
         with pytest.raises(DecompressionError):
-            adaptive_decode(broken)
+            adaptive_decode(replace(good, residuals=good.residuals[:-1]))
 
-    def test_mismatched_coefficients_rejected(self, rng):
-        codes = (np.arange(600) * 5).astype(np.int64)
-        prediction = adaptive_encode(codes)
-        if prediction.coefficients.shape[0] == 0:
-            pytest.skip("no regression blocks chosen for this input")
-        broken = AdaptivePrediction(
-            residuals=prediction.residuals,
-            modes=prediction.modes,
-            coefficients=prediction.coefficients[:-1],
-            block_size=prediction.block_size,
-            count=prediction.count,
-        )
+    def test_mismatched_coefficients_rejected(self):
+        good = _stream([R, L, R])
         with pytest.raises(DecompressionError):
-            adaptive_decode(broken)
+            adaptive_decode(replace(good, coefficients=good.coefficients[:-1]))
 
-    def test_unknown_mode_rejected(self, rng):
-        codes = rng.integers(-5, 5, size=600).astype(np.int64)
-        prediction = adaptive_encode(codes)
-        bad_modes = prediction.modes.copy()
-        bad_modes[0] = 7
-        broken = AdaptivePrediction(
-            residuals=prediction.residuals,
-            modes=bad_modes,
-            coefficients=prediction.coefficients,
-            block_size=prediction.block_size,
-            count=prediction.count,
-        )
+    def test_unknown_mode_rejected(self):
         with pytest.raises(DecompressionError):
-            adaptive_decode(broken)
+            adaptive_decode(_stream([7, L, D]))
+
+    def test_mode_count_mismatch_rejected(self):
+        good = _stream([L, D])
+        with pytest.raises(DecompressionError):
+            adaptive_decode(replace(good, modes=good.modes[:1]))
+
+    @pytest.mark.parametrize("block_size", [0, -3])
+    def test_non_positive_block_size_rejected(self, block_size):
+        prediction = replace(_stream([L, L], block_size=4), block_size=block_size)
+        with pytest.raises(DecompressionError, match="block size"):
+            adaptive_decode(prediction)
 
 
 def _block_loop_decode(prediction: AdaptivePrediction) -> np.ndarray:
@@ -139,9 +94,6 @@ def _block_loop_decode(prediction: AdaptivePrediction) -> np.ndarray:
     return out.reshape(-1)[:n]
 
 
-L, R, D = MODE_LORENZO, MODE_REGRESSION, MODE_DIRECT
-
-
 class TestAdaptiveDecodeMatchesBlockLoop:
     """The loop-free decoder against a per-block loop, per mode sequence."""
 
@@ -158,18 +110,7 @@ class TestAdaptiveDecodeMatchesBlockLoop:
         ],
     )
     def test_mode_sequences(self, modes, tail):
-        bs = 64
-        rng = np.random.default_rng(len(modes) * 1000 + tail)
-        n = len(modes) * bs - tail
-        modes = np.asarray(modes, dtype=np.uint8)
-        nreg = int((modes == MODE_REGRESSION).sum())
-        prediction = AdaptivePrediction(
-            residuals=rng.integers(-1000, 1000, size=n).astype(np.int64),
-            modes=modes,
-            coefficients=rng.normal(0, 50, size=(nreg, 2)).astype(np.float32),
-            block_size=bs,
-            count=n,
-        )
+        prediction = _stream(modes, tail=tail)
         np.testing.assert_array_equal(
             adaptive_decode(prediction), _block_loop_decode(prediction)
         )
@@ -208,9 +149,9 @@ class TestAdaptiveInsideSZ:
         lorenzo = compress(smooth, 1e-4, predictor="lorenzo").compressed_bytes
         none = compress(smooth, 1e-4, predictor="none").compressed_bytes
         adaptive = compress(smooth, 1e-4, predictor="adaptive").compressed_bytes
-        # The per-block choice stays within ~25% of the best fixed predictor
-        # (the shared Huffman table makes mixing block types slightly
-        # sub-optimal) while being an order of magnitude ahead of the worst.
+        # The per-stream choice compares Huffman sizes, before the lossless
+        # stage, so it may miss the best final size by the lossless stage's
+        # noise, never by the gap between the two predictors.
         assert adaptive <= min(lorenzo, none) * 1.25
         assert adaptive <= max(lorenzo, none) * 0.5
 
@@ -227,3 +168,36 @@ class TestAdaptiveInsideSZ:
         payload = compress(weight_array, 1e-3, predictor="adaptive").payload
         recon = decompress(payload)
         assert recon.shape == weight_array.shape
+
+
+def _pruned_fc_data() -> np.ndarray:
+    """An AlexNet-fc6-like data array: synthetic weights, pruned, nonzeros only."""
+    weights = synthesize_fc_weights("AlexNet", "fc6", seed=77, scale=0.05)
+    pruned, _ = prune_weights(weights, PAPER_PRUNING_RATIOS["AlexNet"]["fc6"])
+    return encode_sparse(pruned).data
+
+
+class TestPerStreamChoice:
+    """The default payload is the smaller of the two fixed predictors' payloads."""
+
+    @pytest.mark.parametrize(
+        "make, eb, winner",
+        [
+            (_pruned_fc_data, 1e-2, "none"),
+            (_pruned_fc_data, 1e-3, "none"),
+            (lambda: np.linspace(-1.0, 1.0, 20_000, dtype=np.float32), 1e-4, "lorenzo"),
+        ],
+        ids=["pruned-fc-1e-2", "pruned-fc-1e-3", "ramp"],
+    )
+    def test_default_payload_is_the_smaller_fixed_one(self, make, eb, winner):
+        data = make()
+        payloads = {
+            predictor: SZCompressor(SZConfig(error_bound=eb, predictor=predictor))
+            .compress(data)
+            .payload
+            for predictor in ("lorenzo", "none")
+        }
+        default = SZCompressor(SZConfig(error_bound=eb)).compress(data).payload
+        assert min(payloads, key=lambda k: len(payloads[k])) == winner
+        assert default == payloads[winner]
+
