@@ -9,7 +9,8 @@ import pytest
 from repro.nn.models import synthesize_fc_weights
 from repro.nn.specs import PAPER_PRUNING_RATIOS
 from repro.pruning import encode_sparse, prune_weights
-from repro.sz import SZCompressor, SZConfig, compress
+from repro.sz import SZCompressor, SZConfig, compress, decompress
+from repro.sz.lossless import get_backend
 from repro.sz.regression import (
     MODE_DIRECT,
     MODE_LORENZO,
@@ -19,6 +20,7 @@ from repro.sz.regression import (
     adaptive_decode,
 )
 from repro.utils.errors import DecompressionError
+from repro.utils.bytesio import read_named_sections
 
 
 def _stream(modes, block_size=64, tail=0) -> AdaptivePrediction:
@@ -36,16 +38,110 @@ def _stream(modes, block_size=64, tail=0) -> AdaptivePrediction:
     )
 
 
+def _legacy_stream(codes, modes, block_size=256) -> AdaptivePrediction:
+    """``codes`` in the per-block layout earlier writers produced, one mode per
+    block; regression blocks store a float32 least-squares line."""
+    codes = np.asarray(codes, dtype=np.int64)
+    modes = np.asarray(modes, dtype=np.uint8)
+    assert modes.size == -(-codes.size // block_size)
+    residuals = codes.copy()
+    coefficients = []
+    prev_last = 0
+    for b, mode in enumerate(modes.tolist()):
+        block = codes[b * block_size : (b + 1) * block_size]
+        out = residuals[b * block_size : b * block_size + block.size]
+        if mode == MODE_LORENZO:
+            out[:] = np.diff(block, prepend=prev_last)
+        elif mode == MODE_REGRESSION:
+            slope, intercept = (0, block[0])
+            if block.size > 1:
+                slope, intercept = np.polyfit(np.arange(block.size), block, 1)
+            ab = np.array([[intercept, slope]], dtype=np.float32)
+            coefficients.append(ab[0])
+            out -= _regression_predict(ab, block_size)[0, : block.size]
+        prev_last = block[-1]
+    return AdaptivePrediction(
+        residuals=residuals,
+        modes=modes,
+        coefficients=np.asarray(coefficients, dtype=np.float32).reshape(-1, 2),
+        block_size=block_size,
+        count=codes.size,
+    )
+
+
+def _random_modes(rng, count, block_size=256) -> np.ndarray:
+    return rng.integers(0, 3, size=-(-count // block_size)).astype(np.uint8)
+
+
+def _roundtrips(codes, modes, block_size=256) -> bool:
+    return np.array_equal(adaptive_decode(_legacy_stream(codes, modes, block_size)), codes)
+
+
+def _stream_kind(payload: bytes) -> str:
+    """The predictor a v1 SZ payload's inner stream header records."""
+    outer, sections = read_named_sections(payload)
+    raw = get_backend(outer["lossless"]).decompress(sections["body"])
+    return read_named_sections(raw)[0]["predictor"]
+
+
 L, R, D = MODE_LORENZO, MODE_REGRESSION, MODE_DIRECT
 
 
-class TestAdaptiveDecodeRejects:
-    """The legacy reader fails with DecompressionError on inconsistent streams."""
+class TestAdaptiveEncodeDecode:
+    """The writer's per-stream choice on integer codes, and the reader of
+    per-block streams (written by earlier versions) round-tripping them."""
 
-    def test_empty_stream(self):
+    def test_roundtrip_random_codes(self, rng):
+        codes = rng.integers(-500, 500, size=5000).astype(np.int64)
+        assert _roundtrips(codes, _random_modes(rng, codes.size))
+
+    def test_roundtrip_linear_trend(self, rng):
+        codes = (np.arange(3000) * 3 + 17).astype(np.int64)
+        nblocks = -(-codes.size // 256)
+        for modes in ([L] * nblocks, [R] * nblocks, [D] * nblocks, _random_modes(rng, codes.size)):
+            assert _roundtrips(codes, modes)
+        # A linear trend is never written as direct codes: its Lorenzo
+        # residuals are one constant.
+        data = (codes * 2e-3).astype(np.float32)
+        assert _stream_kind(compress(data, 1e-3).payload) == "lorenzo"
+
+    def test_noise_codes_prefer_direct_mode(self, rng):
+        data = (np.rint(rng.normal(0, 3, size=8192)) * 2e-3).astype(np.float32)
+        assert _stream_kind(compress(data, 1e-3).payload) == "none"
+
+    def test_roundtrip_noise_like_weights(self, rng):
+        codes = np.rint(rng.normal(0, 2, size=4096)).astype(np.int64)
+        assert _roundtrips(codes, _random_modes(rng, codes.size))
+
+    def test_roundtrip_partial_last_block(self, rng):
+        codes = rng.integers(-5, 5, size=1000).astype(np.int64)  # not a multiple of 256
+        for last in (L, R, D):
+            modes = _random_modes(rng, codes.size)
+            modes[-1] = last
+            assert _roundtrips(codes, modes)
+
+    def test_roundtrip_shorter_than_one_block(self, rng):
+        codes = rng.integers(-5, 5, size=17).astype(np.int64)
+        for mode in (L, R, D):
+            assert _roundtrips(codes, [mode])
+
+    def test_empty(self):
         assert adaptive_decode(_stream([])).size == 0
+        assert decompress(compress(np.zeros(0, dtype=np.float32), 1e-3).payload).size == 0
 
-    def test_corrupt_residuals_rejected(self):
+    def test_custom_block_size(self, rng):
+        codes = rng.integers(-100, 100, size=2000).astype(np.int64)
+        prediction = _legacy_stream(codes, _random_modes(rng, codes.size, 64), block_size=64)
+        assert prediction.modes.size == (2000 + 63) // 64
+        assert np.array_equal(adaptive_decode(prediction), codes)
+
+    def test_invalid_inputs(self):
+        for block_size in (0, -3):
+            prediction = replace(_stream([L, L], block_size=4), block_size=block_size)
+            with pytest.raises(DecompressionError, match="block size"):
+                adaptive_decode(prediction)
+
+    def test_corrupt_prediction_rejected(self):
         good = _stream([L, D, L], tail=10)
         with pytest.raises(DecompressionError):
             adaptive_decode(replace(good, residuals=good.residuals[:-1]))
@@ -63,12 +159,6 @@ class TestAdaptiveDecodeRejects:
         good = _stream([L, D])
         with pytest.raises(DecompressionError):
             adaptive_decode(replace(good, modes=good.modes[:1]))
-
-    @pytest.mark.parametrize("block_size", [0, -3])
-    def test_non_positive_block_size_rejected(self, block_size):
-        prediction = replace(_stream([L, L], block_size=4), block_size=block_size)
-        with pytest.raises(DecompressionError, match="block size"):
-            adaptive_decode(prediction)
 
 
 def _block_loop_decode(prediction: AdaptivePrediction) -> np.ndarray:
