@@ -6,7 +6,7 @@ Importing this module (which :mod:`repro.codecs` does eagerly) registers:
   including its chunked v2 container and ``workers`` parallelism;
 * ``"zfp"`` — the ZFP-style block transform codec (:mod:`repro.zfp.codec`);
 * every lossless backend from :mod:`repro.sz.lossless` (``zlib``, ``lzma``,
-  ``bz2``, ``store`` plus their aliases) as byte codecs.
+  ``bz2``, ``huffman``, ``store`` plus their aliases) as byte codecs.
 
 The adapters are thin: they translate the uniform keyword-option surface of
 :class:`repro.codecs.base.Codec` into each back end's native configuration

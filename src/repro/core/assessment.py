@@ -36,6 +36,7 @@ from repro.codecs import best_fit_lossless, get_codec
 from repro.nn.layers import Dense
 from repro.nn.network import Network, topk_counts
 from repro.pruning.sparse_format import SparseLayer, decode_sparse
+from repro.sz.lossless import INDEX_LOSSLESS_CANDIDATES
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_positive
 
@@ -93,7 +94,7 @@ class AssessmentConfig:
     max_fine_tests: int = 24  #: safety cap on the fine scan length per layer
     capacity: int = 65536
     lossless: str = "zlib"
-    index_lossless_candidates: Sequence[str] = ("zlib", "lzma", "bz2")
+    index_lossless_candidates: Sequence[str] = INDEX_LOSSLESS_CANDIDATES
     eval_batch_size: int = 256
     data_codec: str = "sz"  #: registry name of the error-bounded data codec
     chunk_size: int | None = None  #: must match the encoder so Step 2's

@@ -28,6 +28,7 @@ import numpy as np
 from repro.codecs import best_fit_lossless, get_codec, resolve_error_bounded_codec
 from repro.parallel.pool import TaskPool
 from repro.pruning.sparse_format import SparseLayer
+from repro.sz.lossless import INDEX_LOSSLESS_CANDIDATES
 from repro.utils.errors import ValidationError
 from repro.utils.timing import TimingBreakdown
 
@@ -183,7 +184,7 @@ class DeepSZEncoder:
         *,
         capacity: int = 65536,
         sz_lossless: str = "zlib",
-        index_lossless_candidates: Sequence[str] = ("zlib", "lzma", "bz2"),
+        index_lossless_candidates: Sequence[str] = INDEX_LOSSLESS_CANDIDATES,
         data_codec: str = _DEFAULT_DATA_CODEC,
         chunk_size: int | None = None,
         workers: int = 1,

@@ -27,6 +27,7 @@ from repro.core.optimizer import (
 from repro.nn.network import Network
 from repro.pruning.magnitude import PrunedNetwork, PruningConfig, prune_network
 from repro.store.assess_cache import AssessmentCache
+from repro.sz.lossless import INDEX_LOSSLESS_CANDIDATES
 from repro.utils.errors import ValidationError
 from repro.utils.rng import make_rng
 from repro.utils.timing import Timer, TimingBreakdown
@@ -74,7 +75,7 @@ class DeepSZConfig:
     coarse_bounds: Sequence[float] = (1e-3, 1e-2, 1e-1)
     capacity: int = 65536
     sz_lossless: str = "zlib"
-    index_lossless_candidates: Sequence[str] = ("zlib", "lzma", "bz2")
+    index_lossless_candidates: Sequence[str] = INDEX_LOSSLESS_CANDIDATES
     optimizer_resolution: int = 100
     eval_batch_size: int = 256
     topk: Sequence[int] = (1, 5)

@@ -17,43 +17,28 @@ their inputs (layer content, error bound, codec settings, test set), so
 repeated Step 2 runs are incremental.
 """
 
-from repro.store.archive import (
-    ARCHIVE_MAGIC,
-    ArchiveManifest,
-    LayerEntry,
-    ModelArchive,
-    SegmentEntry,
-    archive_bytes,
-    archive_input_dim,
-    is_archive,
-    manifest_from_dict,
-    manifest_to_dict,
-    write_archive,
-)
-from repro.store.assess_cache import (
-    AssessmentCache,
-    AssessmentCacheStats,
-    sha256_array,
-    test_set_digest,
-)
-from repro.store.cas import ModelStore, StoreStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssessmentCache",
-    "AssessmentCacheStats",
-    "sha256_array",
-    "test_set_digest",
-    "ARCHIVE_MAGIC",
-    "ArchiveManifest",
-    "LayerEntry",
-    "ModelArchive",
-    "SegmentEntry",
-    "archive_bytes",
-    "archive_input_dim",
-    "is_archive",
-    "manifest_from_dict",
-    "manifest_to_dict",
-    "write_archive",
-    "ModelStore",
-    "StoreStats",
-]
+#: Exported name -> defining module, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "AssessmentCache": ".assess_cache",
+    "AssessmentCacheStats": ".assess_cache",
+    "sha256_array": ".assess_cache",
+    "test_set_digest": ".assess_cache",
+    "ARCHIVE_MAGIC": ".archive",
+    "ArchiveManifest": ".archive",
+    "LayerEntry": ".archive",
+    "ModelArchive": ".archive",
+    "SegmentEntry": ".archive",
+    "archive_bytes": ".archive",
+    "archive_input_dim": ".archive",
+    "is_archive": ".archive",
+    "manifest_from_dict": ".archive",
+    "manifest_to_dict": ".archive",
+    "write_archive": ".archive",
+    "ModelStore": ".cas",
+    "StoreStats": ".cas",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,8 +15,8 @@ DeepSZ compresses:
    (:mod:`repro.sz.quantizer`).
 3. **Customised Huffman coding** of the quantization codes
    (:mod:`repro.sz.huffman`).
-4. **Lossless back end** (zlib / lzma / bz2 / store) applied to the encoded
-   payload (:mod:`repro.sz.lossless`).
+4. **Lossless back end** (zlib / lzma / bz2 / huffman / store) applied to
+   the encoded payload (:mod:`repro.sz.lossless`).
 
 Two container formats are emitted: the monolithic v1 stream and, when
 ``SZConfig.chunk_size`` is set, the chunked v2 container whose chunks are

@@ -159,22 +159,31 @@ def _reconstruct(qr: QuantizationResult, abs_bound: float, cfg: SZConfig) -> np.
     return quantizer.dequantize(qr.codes, qr.outlier_mask, qr.outliers)
 
 
+def _required(fields: dict, key: str):
+    """``fields[key]`` of an inner payload's header or sections; a missing
+    key is a corrupt payload."""
+    try:
+        return fields[key]
+    except KeyError:
+        raise DecompressionError(f"corrupt SZ payload: {key!r} is missing") from None
+
+
 def _decode_raw(raw_payload: bytes) -> np.ndarray:
     """Inverse of :func:`_encode_raw`."""
     meta, sections = read_named_sections(raw_payload)
     if meta.get("magic") != _MAGIC:
         raise DecompressionError("corrupt SZ payload (inner magic mismatch)")
-    count = int(meta["count"])
-    abs_bound = float(meta["abs_bound"])
+    count = int(_required(meta, "count"))
+    abs_bound = float(_required(meta, "abs_bound"))
     try:
-        predictor = PredictorKind(meta["predictor"])
+        predictor = PredictorKind(_required(meta, "predictor"))
     except ValueError:
         raise DecompressionError(f"unknown SZ predictor {meta['predictor']!r}") from None
-    capacity = int(meta["capacity"])
-    outlier_count = int(meta["outlier_count"])
+    capacity = int(_required(meta, "capacity"))
+    outlier_count = int(_required(meta, "outlier_count"))
 
     with profile.stage("huffman"):
-        residuals = HuffmanCodec().decode(sections["huffman"])
+        residuals = HuffmanCodec().decode(_required(sections, "huffman"))
     if residuals.size != count:
         raise DecompressionError(f"decoded {residuals.size} codes, expected {count}")
     if predictor is PredictorKind.LORENZO:
@@ -182,18 +191,18 @@ def _decode_raw(raw_payload: bytes) -> np.ndarray:
             codes = lorenzo_decode(residuals)
     elif predictor is PredictorKind.ADAPTIVE:
         # Per-block streams, written only before the per-stream choice.
-        num_blocks = int(meta["num_blocks"])
-        modes = np.frombuffer(sections["block_modes"], dtype=np.uint8)
+        num_blocks = int(_required(meta, "num_blocks"))
+        modes = np.frombuffer(_required(sections, "block_modes"), dtype=np.uint8)
         if modes.size != num_blocks:
             raise DecompressionError("adaptive block mode table is corrupt")
-        coeffs = np.frombuffer(sections["block_coeffs"], dtype="<f4").reshape(-1, 2)
+        coeffs = np.frombuffer(_required(sections, "block_coeffs"), dtype="<f4").reshape(-1, 2)
         with profile.stage("predictor"):
             codes = adaptive_decode(
                 AdaptivePrediction(
                     residuals=residuals,
                     modes=modes,
                     coefficients=coeffs.astype(np.float32),
-                    block_size=int(meta["block_size"]),
+                    block_size=int(_required(meta, "block_size")),
                     count=count,
                 )
             )
@@ -202,9 +211,9 @@ def _decode_raw(raw_payload: bytes) -> np.ndarray:
 
     if outlier_count:
         mask_bits = np.unpackbits(
-            np.frombuffer(sections["outlier_mask"], dtype=np.uint8), count=count
+            np.frombuffer(_required(sections, "outlier_mask"), dtype=np.uint8), count=count
         ).astype(bool)
-        outliers = np.frombuffer(sections["outliers"], dtype="<f4").astype(np.float32)
+        outliers = np.frombuffer(_required(sections, "outliers"), dtype="<f4").astype(np.float32)
         if int(mask_bits.sum()) != outlier_count or outliers.size != outlier_count:
             raise DecompressionError("outlier bookkeeping mismatch in SZ payload")
     else:

@@ -4,7 +4,10 @@ SZ applies a "customised Huffman encoding" to the stream of quantization
 codes.  This module implements a canonical Huffman codec whose encoded form
 carries only the (symbol, code-length) table — the actual codes are
 reconstructed canonically on both sides, which keeps the header small and the
-decoder deterministic.
+decoder deterministic.  Symbols are stored as one byte each when all of them
+are byte values (the header then says ``"symbol_bytes": 1``), else as
+``<i8``, so the same codec serves signed SZ residuals and uint8 index
+arrays (:mod:`repro.sz.lossless`'s ``"huffman"`` backend).
 
 Encoding is fully vectorised and O(n) in the symbol count: symbols are
 counted with a histogram, a ``cumsum`` of the code lengths gives every code
@@ -230,27 +233,36 @@ def _unique_counts(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 _PACK_CHUNK = 1 << 18
 
 
-def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
-    """Concatenate variable-length codes MSB-first; returns ``(bytes, nbits)``.
+def _pack_codes(
+    index: np.ndarray, codes: np.ndarray, lengths: np.ndarray
+) -> tuple[bytes, int]:
+    """Concatenate ``codes[index]`` MSB-first; returns ``(bytes, nbits)``.
 
-    ``codes[i]`` holds its ``lengths[i]`` (1..64) bits right-aligned.  The
-    code starting at bit ``p`` lands in big-endian word ``w = p >> 6`` at
-    offset ``o = p & 63``: its head is shifted to end at bit ``o + length``
-    of word ``w``, and when that passes 64 the low ``o + length - 64`` bits
-    spill into word ``w + 1``.  Codes never overlap, so adding the heads of
-    all codes that start in one word (``np.add.reduceat`` over the sorted
-    word index) is the same as OR-ing them, and at most one code spills into
-    any word.  Passes of :data:`_PACK_CHUNK` codes keep the temporaries
-    small; a word shared by two passes just receives two additions.
+    ``codes[s]`` holds symbol ``s``'s code, ``lengths[s]`` (1..64) bits
+    right-aligned; ``index`` gives the symbol at every position of the
+    stream.  The code starting at bit ``p`` lands in big-endian word ``w =
+    p >> 6`` at offset ``o = p & 63``: its head is shifted to end at bit ``o
+    + length`` of word ``w``, and when that passes 64 the low ``o + length -
+    64`` bits spill into word ``w + 1``.  Codes never overlap, so adding the
+    heads of all codes that start in one word (``np.add.reduceat`` over the
+    sorted word index) is the same as OR-ing them, and at most one code
+    spills into any word.  Each pass looks up the codes and lengths of
+    :data:`_PACK_CHUNK` positions and carries the bit offset it ends at to
+    the next, so no temporary spans the whole stream; a word shared by two
+    passes just receives two additions.
     """
-    ends = np.cumsum(lengths, dtype=np.int64)
-    nbits = int(ends[-1]) if ends.size else 0
+    lengths = lengths.astype(np.int64)
+    nbits = int(np.bincount(index, minlength=lengths.size) @ lengths) if index.size else 0
     words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
-    for start in range(0, codes.size, _PACK_CHUNK):
-        stop = start + _PACK_CHUNK
-        vals = codes[start:stop]
-        lens = lengths[start:stop].astype(np.int64)
-        begin = ends[start:stop] - lens
+    offset = 0
+    for start in range(0, index.size, _PACK_CHUNK):
+        slots = index[start : start + _PACK_CHUNK]
+        vals = codes[slots]
+        lens = lengths[slots]
+        begin = np.cumsum(lens)
+        begin -= lens
+        begin += offset
+        offset = int(begin[-1] + lens[-1])
         word = begin >> 6
         # Free bits after the code in its first word; negative = spill.
         room = 64 - (begin & 63) - lens
@@ -263,12 +275,31 @@ def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         words[word[first]] += np.add.reduceat(head, first)
         spill = np.flatnonzero(room < 0)
         words[word[spill] + 1] += vals[spill] << (64 + room[spill]).astype(np.uint64)
-    return words.astype(">u8").tobytes()[: (nbits + 7) >> 3], nbits
+    return words.astype(">u8").view(np.uint8)[: (nbits + 7) >> 3].tobytes(), nbits
 
 
-#: Serialized table cost per distinct symbol: one ``<i8`` symbol and one
-#: ``uint8`` code length.
-_TABLE_BITS = 72
+#: Serialized table symbol dtype by the header's ``symbol_bytes``: ``u1``
+#: when every symbol is a byte value, else ``<i8``.  A header without the
+#: key has an ``<i8`` table (every stream written before one-byte tables).
+_SYMBOL_DTYPES = {1: "u1", 8: "<i8"}
+
+
+def _symbol_bytes(symbols: np.ndarray) -> int:
+    """Bytes per serialized symbol of the ascending, non-empty ``symbols``."""
+    return 1 if symbols[0] >= 0 and symbols[-1] <= 0xFF else 8
+
+
+def _read_table(meta: dict, sections: dict[str, bytes]) -> HuffmanTable:
+    """The canonical table of a stream, from its header and sections."""
+    symbol_bytes = meta.get("symbol_bytes", 8)
+    if type(symbol_bytes) is not int or symbol_bytes not in _SYMBOL_DTYPES:
+        raise DecompressionError(f"corrupt Huffman header: symbol_bytes {symbol_bytes!r}")
+    raw = sections.get("table_symbols", b"")
+    lengths = np.frombuffer(sections.get("table_lengths", b""), dtype=np.uint8)
+    if len(raw) != symbol_bytes * lengths.size or lengths.size == 0:
+        raise DecompressionError("corrupt Huffman table")
+    symbols = np.frombuffer(raw, dtype=_SYMBOL_DTYPES[symbol_bytes]).astype(np.int64)
+    return HuffmanTable(symbols=symbols, lengths=lengths)
 
 
 @dataclass(frozen=True)
@@ -278,13 +309,15 @@ class _CodePlan:
     symbols: np.ndarray  #: distinct values
     inverse: np.ndarray  #: each element's index into ``symbols``
     lengths: np.ndarray  #: uint8 code length per symbol
-    bits: int  #: Σ count·length plus :data:`_TABLE_BITS` per symbol
+    bits: int  #: Σ count·length plus the serialized table's bits
 
     @classmethod
     def of(cls, data: np.ndarray) -> "_CodePlan":
         symbols, inverse, counts = _unique_counts(data)
         lengths = _code_lengths(symbols, counts)
-        bits = int(counts @ lengths.astype(np.int64)) + _TABLE_BITS * symbols.size
+        # Each table entry is one symbol and one uint8 code length.
+        table_bits = 8 * (_symbol_bytes(symbols) + 1) * symbols.size
+        bits = int(counts @ lengths.astype(np.int64)) + table_bits
         return cls(symbols, inverse, lengths, bits)
 
 
@@ -331,20 +364,22 @@ class HuffmanCodec:
         table = HuffmanTable(symbols=plan.symbols[order], lengths=plan.lengths[order])
         codes = table.codes()
 
-        # Map each input position to its canonical table slot.
+        # Every distinct value's code, so the packer indexes it by `inverse`.
         slot_of_unique = np.empty(plan.symbols.size, dtype=np.int64)
         slot_of_unique[order] = np.arange(plan.symbols.size)
-        slots = slot_of_unique[plan.inverse]
+        payload, nbits = _pack_codes(plan.inverse, codes[slot_of_unique], plan.lengths)
 
-        payload, nbits = _pack_codes(codes[slots], table.lengths[slots])
-
+        meta = {"count": int(plan.inverse.size), "nbits": nbits}
+        symbol_bytes = _symbol_bytes(plan.symbols)
+        if symbol_bytes != 8:
+            meta["symbol_bytes"] = symbol_bytes
         return index, write_named_sections(
             {
-                "table_symbols": table.symbols.astype("<i8").tobytes(),
+                "table_symbols": table.symbols.astype(_SYMBOL_DTYPES[symbol_bytes]).tobytes(),
                 "table_lengths": table.lengths.astype(np.uint8).tobytes(),
                 "payload": payload,
             },
-            meta={"count": int(plan.inverse.size), "nbits": nbits},
+            meta=meta,
         )
 
     # -- decoding --------------------------------------------------------
@@ -355,15 +390,12 @@ class HuffmanCodec:
         nbits = int(meta.get("nbits", 0))
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        symbols = np.frombuffer(sections["table_symbols"], dtype="<i8").astype(np.int64)
-        lengths = np.frombuffer(sections["table_lengths"], dtype=np.uint8)
-        if symbols.size != lengths.size or symbols.size == 0:
-            raise DecompressionError("corrupt Huffman table")
-        table = HuffmanTable(symbols=symbols, lengths=lengths)
+        table = _read_table(meta, sections)
+        payload = sections.get("payload", b"")
         kernel = native.huffman_kernel()
         if kernel is None:
-            return self._decode_packed(sections["payload"], nbits, table, count)
-        return self._decode_native(kernel, sections["payload"], nbits, table, count)
+            return self._decode_packed(payload, nbits, table, count)
+        return self._decode_native(kernel, payload, nbits, table, count)
 
     #: Symbols decoded per anchor in the lockstep phase of :meth:`_decode_packed`.
     _CHAIN_STRIDE = 32

@@ -171,3 +171,29 @@ class TestCorruption:
         outer["body"] = write_named_sections(sections, meta=meta)
         with pytest.raises(DecompressionError, match="predictor"):
             decompress(write_named_sections(outer, meta=outer_meta))
+
+    @staticmethod
+    def _with_inner_header(payload: bytes, edit) -> bytes:
+        """``payload`` (a v1 ``store`` payload) with ``edit(meta)`` applied to
+        its inner stream header."""
+        from repro.utils.bytesio import read_named_sections, write_named_sections
+
+        outer_meta, outer = read_named_sections(payload)
+        meta, sections = read_named_sections(outer["body"])
+        edit(meta)
+        outer["body"] = write_named_sections(sections, meta=meta)
+        return write_named_sections(outer, meta=outer_meta)
+
+    def test_stream_header_without_count_raises(self, weight_array):
+        payload = compress(weight_array[:1000], 1e-3, lossless="store").payload
+        broken = self._with_inner_header(payload, lambda meta: meta.pop("count"))
+        with pytest.raises(DecompressionError, match="'count' is missing"):
+            decompress(broken)
+
+    def test_adaptive_label_without_block_sections_raises(self, weight_array):
+        payload = compress(weight_array[:1000], 1e-3, lossless="store").payload
+        broken = self._with_inner_header(
+            payload, lambda meta: meta.update(predictor="adaptive")
+        )
+        with pytest.raises(DecompressionError, match="'num_blocks' is missing"):
+            decompress(broken)

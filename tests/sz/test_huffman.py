@@ -95,7 +95,7 @@ class TestHuffmanCompression:
 
 def _coded_bits(encoded: bytes) -> int:
     meta, sections = read_named_sections(encoded)
-    return int(meta["nbits"]) + 72 * len(sections["table_lengths"])
+    return int(meta["nbits"]) + 8 * len(sections["table_symbols"] + sections["table_lengths"])
 
 
 class TestEncodeSmallest:
@@ -111,6 +111,14 @@ class TestEncodeSmallest:
     def test_tie_goes_to_the_first(self, codec, rng):
         data = rng.integers(-5, 5, size=1000).astype(np.int64)
         assert codec.encode_smallest([data, -data])[0] == 0
+
+    def test_one_byte_table_counts_in_the_size(self, codec, rng):
+        # Same code lengths, but only the non-negative stream's symbols fit
+        # the one-byte table, so it codes smaller.
+        data = rng.integers(1, 200, size=3000).astype(np.int64)
+        index, encoded = codec.encode_smallest([-data, data])
+        assert index == 1
+        assert _coded_bits(encoded) < _coded_bits(codec.encode(-data))
 
     def test_empty_candidates(self, codec):
         empty = np.zeros(0, dtype=np.int64)
@@ -151,6 +159,62 @@ class TestHuffmanCorruption:
             codec.decode(write_named_sections(sections, meta=meta))
 
 
+def _rewrite(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit(meta, sections)`` applied to its header and sections."""
+    meta, sections = read_named_sections(blob)
+    edit(meta, sections)
+    return write_named_sections(sections, meta=meta)
+
+
+class TestSymbolTableWidth:
+    """One-byte symbol tables: ``symbol_bytes`` in the header, absent = ``<i8``."""
+
+    def test_byte_symbols_get_a_one_byte_table(self, codec, rng):
+        data = rng.integers(0, 256, size=5000)
+        meta, sections = read_named_sections(codec.encode(data))
+        assert meta["symbol_bytes"] == 1
+        assert len(sections["table_symbols"]) == len(sections["table_lengths"]) == 256
+
+    @pytest.mark.parametrize("values", [[-1, 0, 5], [0, 256], [1 << 40]])
+    def test_other_symbols_keep_the_i8_table(self, codec, values):
+        meta, sections = read_named_sections(codec.encode(np.array(values * 10)))
+        assert "symbol_bytes" not in meta
+        assert len(sections["table_symbols"]) == 8 * len(sections["table_lengths"])
+
+    def test_legacy_i8_table_still_decodes(self, codec, rng):
+        # A stream of byte symbols written before one-byte tables existed.
+        data = rng.integers(0, 256, size=5000)
+
+        def widen(meta, sections):
+            del meta["symbol_bytes"]
+            symbols = np.frombuffer(sections["table_symbols"], dtype=np.uint8)
+            sections["table_symbols"] = symbols.astype("<i8").tobytes()
+
+        legacy = _rewrite(codec.encode(data), widen)
+        np.testing.assert_array_equal(codec.decode(legacy), data)
+
+    @pytest.mark.parametrize("symbol_bytes", [2, 4, 0, "1", None, [1]])
+    def test_unknown_symbol_bytes_raises(self, codec, symbol_bytes):
+        blob = _rewrite(
+            codec.encode(np.arange(10)),
+            lambda meta, _: meta.update(symbol_bytes=symbol_bytes),
+        )
+        with pytest.raises(DecompressionError, match="symbol_bytes"):
+            codec.decode(blob)
+
+    @pytest.mark.parametrize(
+        "data, symbol_bytes",
+        [(np.arange(10), 8), (np.arange(-5, 5), 1)],
+        ids=["one-byte-table-read-as-i8", "i8-table-read-as-one-byte"],
+    )
+    def test_table_not_matching_symbol_bytes_raises(self, codec, data, symbol_bytes):
+        blob = _rewrite(
+            codec.encode(data), lambda meta, _: meta.update(symbol_bytes=symbol_bytes)
+        )
+        with pytest.raises(DecompressionError, match="corrupt Huffman table"):
+            codec.decode(blob)
+
+
 class TestHuffmanTable:
     def test_canonical_codes_are_prefix_free(self):
         table = HuffmanTable(
@@ -181,9 +245,7 @@ class TestVectorizedDecodeKernel:
 
         blob = codec.encode(data)
         meta, sections = read_named_sections(blob)
-        symbols = np.frombuffer(sections["table_symbols"], dtype="<i8").astype(np.int64)
-        lengths = np.frombuffer(sections["table_lengths"], dtype=np.uint8)
-        table = HuffmanTable(symbols=symbols, lengths=lengths)
+        table = huffman._read_table(meta, sections)
         bits = unpack_bits(sections["payload"], int(meta["nbits"]))
         fast = self.kernel(pack_bits(bits), bits.size, table, data.size)
         slow = HuffmanCodec._decode_bits_reference(bits, table, data.size)
@@ -241,10 +303,7 @@ def _table_and_bits(codec, data):
     from repro.utils.bytesio import read_named_sections
 
     meta, sections = read_named_sections(codec.encode(data))
-    table = HuffmanTable(
-        symbols=np.frombuffer(sections["table_symbols"], dtype="<i8").astype(np.int64),
-        lengths=np.frombuffer(sections["table_lengths"], dtype=np.uint8),
-    )
+    table = huffman._read_table(meta, sections)
     return table, unpack_bits(sections["payload"], int(meta["nbits"]))
 
 
@@ -433,10 +492,8 @@ def _encoded_and_reference(data):
     """``(payload, nbits)`` of ``HuffmanCodec.encode(data)``, and of the
     scalar reference packer over the same canonical table."""
     meta, sections = read_named_sections(HuffmanCodec().encode(data))
-    symbols = np.frombuffer(sections["table_symbols"], dtype="<i8")
-    table = HuffmanTable(
-        symbols=symbols, lengths=np.frombuffer(sections["table_lengths"], dtype=np.uint8)
-    )
+    table = huffman._read_table(meta, sections)
+    symbols = table.symbols
     order = np.argsort(symbols)
     slots = order[np.searchsorted(symbols[order], data)]
     reference = _pack_bits_reference(table.codes()[slots], table.lengths[slots])
@@ -457,15 +514,28 @@ class TestEncoderOracle:
     def test_pack_codes_matches_reference(self, seed, n, max_length, chunk):
         # Codes past 32 bits and passes of a few codes each put code ends,
         # word spills and pass boundaries everywhere.
-        codes, lengths = _random_codes(np.random.default_rng(seed), n, max_length)
+        rng = np.random.default_rng(seed)
+        codes, lengths = _random_codes(rng, int(rng.integers(1, 80)), max_length)
+        index = rng.integers(0, codes.size, size=n)
         with mock.patch.object(huffman, "_PACK_CHUNK", chunk):
-            got = huffman._pack_codes(codes, lengths)
-        assert got == _pack_bits_reference(codes, lengths)
+            got = huffman._pack_codes(index, codes, lengths)
+        assert got == _pack_bits_reference(codes[index], lengths[index])
 
     def test_pack_codes_across_the_chunk_boundary(self):
         rng = np.random.default_rng(17)
-        codes, lengths = _random_codes(rng, huffman._PACK_CHUNK + 1001)
-        assert huffman._pack_codes(codes, lengths) == _pack_bits_reference(codes, lengths)
+        n = huffman._PACK_CHUNK + 1001
+        codes, lengths = _random_codes(rng, n)
+        got = huffman._pack_codes(np.arange(n), codes, lengths)
+        assert got == _pack_bits_reference(codes, lengths)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_encode_in_many_passes_matches_one_pass(self, rng, chunk):
+        # Small passes carry the bit offset across thousands of boundaries;
+        # the stream must not depend on where they fall.
+        data = np.rint(rng.standard_normal(20_000) * 30).astype(np.int64)
+        whole = HuffmanCodec().encode(data)
+        with mock.patch.object(huffman, "_PACK_CHUNK", chunk):
+            assert HuffmanCodec().encode(data) == whole
 
     @settings(max_examples=60, deadline=None)
     @given(

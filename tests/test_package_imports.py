@@ -23,7 +23,14 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: The packages whose ``__init__`` re-exports lazily.
-LAZY_PACKAGES = ("repro", "repro.core", "repro.nn", "repro.pruning", "repro.serve")
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.nn",
+    "repro.pruning",
+    "repro.serve",
+    "repro.store",
+)
 
 #: What ``repro.serve.worker._worker_main`` imports in a spawned worker.
 WORKER_IMPORTS = ("repro.serve.worker", "repro.serve.shm", "repro.serve.gateway")
@@ -39,6 +46,8 @@ WORKER_NEVER_IMPORTS = (
     "repro.sim",
     "repro.serve.async_gateway",
     "repro.serve.http",
+    "repro.store.assess_cache",
+    "repro.store.cas",
 )
 
 
